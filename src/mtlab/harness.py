@@ -150,7 +150,7 @@ class ResolutionRow:
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    config: StudyConfig
+    config: StudyConfig | TriStudyConfig
     rows: tuple[ResolutionRow, ...]
     slope: float       # fitted order: error ~ N^(-slope)
     residual: float    # RMS residual of the log-log fit
@@ -367,21 +367,20 @@ def run_tri_resolution(cfg: TriStudyConfig, N: int) -> ResolutionRow:
     from .velocity import constant
 
     fld = constant(list(cfg.speed))
+    start = time.perf_counter()
     mesh = structured_mesh(cfg.domain[0], cfg.domain[1], (N, N))
     dt = cfg.cfl * mesh.hbar / fld.a_inf
     report = check_cfl_tri(mesh, fld, dt)
     if not report.satisfied:
         raise CflError(report)
-    start = time.perf_counter()
     mu = NodeMeasure(mesh, {node_nearest(mesh, cfg.x0): 1.0})
     steps = int(math.floor(cfg.T / dt + 1e-9))
     speed = np.asarray(cfg.speed)
     x0 = np.asarray(cfg.x0)
     worst = w1_to_point(mu, x0)
-    cache: dict = {}
     dropped = 0.0
     for n in range(steps):
-        mu = sl_step(mu, fld, n, dt, row_cache=cache)
+        mu = sl_step(mu, fld, n, dt)
         if cfg.prune > 0.0:
             kept = {i: w for i, w in mu.weights.items() if w >= cfg.prune}
             if len(kept) != len(mu.weights):
@@ -403,7 +402,5 @@ def run_tri_study(cfg: TriStudyConfig) -> ConvergenceReport:
     slope, residual = fit_order(
         np.array([r.N for r in rows]), np.array([r.error for r in rows])
     )
-    study = StudyConfig()  # placeholder echo; tri studies have their own config
-    report = ConvergenceReport(config=study, rows=rows, slope=slope,
-                               residual=residual)
-    return report
+    return ConvergenceReport(config=cfg, rows=rows, slope=slope,
+                             residual=residual)

@@ -5,6 +5,13 @@ the vertices of the containing triangle by barycentric coordinates.  Under
 the CFL condition a_inf * dt <= hbar (minimal triangle height), the displaced
 point stays inside the node's incident star, so the scheme is a convex
 redistribution and inherits the Markov-chain reading of the grid schemes.
+
+Everything is array-native.  A mesh stores each node's star as one padded
+row of incident triangle ids, and one step computes the splits of the whole
+support in a single batched pass (`_split`): one field evaluation on the
+support's node array, then barycentric coordinates against every triangle of
+every star at once.  Only points that leave their star go through the scalar
+`locate`, whose brute-force search is the fallback before a `MeshError`.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import CartesianGrid, MultiIndex
+from .measures import _EPS, CartesianGrid
 from .schemes import CflError, CflReport
 from .stochastic import TransitionKernel
 from .velocity import VelocityField
@@ -30,39 +37,65 @@ class MeshError(RuntimeError):
 class TriMesh:
     """Conformal triangulation: nodes (m, 2), triangles (k, 3) vertex indices.
 
+    Construction computes, over all triangles at once, the signed areas
+    (rejecting the lowest-index degenerate triangle), the minimal height
+    `hbar`, and the `star` array: row i lists the triangles incident to node
+    i in ascending id order, padded with -1 to the largest node degree.
+
     Boundary ownership between adjacent triangles is resolved by the
-    lowest-index-triangle-wins rule; barycentric weights agree across the
-    ambiguity anyway because the opposite vertex has weight 0 on a shared
-    edge.
+    lowest-index-triangle-wins rule, which the ascending star rows encode;
+    barycentric weights agree across the ambiguity anyway because the
+    opposite vertex has weight 0 on a shared edge.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", np.asarray(self.nodes, dtype=float))
-        object.__setattr__(self, "triangles",
-                          np.asarray(self.triangles, dtype=np.int64))
-        incident: list[list[int]] = [[] for _ in range(len(self.nodes))]
-        heights = []
-        for k, tri in enumerate(self.triangles):
-            pts = self.nodes[tri]
-            area = _signed_area(pts[0], pts[1], pts[2])
-            if area == 0.0:
-                raise ValueError(f"degenerate triangle {k}")
-            edges = [np.linalg.norm(pts[(i + 1) % 3] - pts[i]) for i in range(3)]
-            heights.append(2.0 * abs(area) / max(edges))
-            for v in tri:
-                incident[v].append(k)
-        object.__setattr__(self, "_incident", incident)
-        object.__setattr__(self, "_hbar", min(heights))
+        nodes = np.asarray(self.nodes, dtype=float)
+        tris = np.asarray(self.triangles, dtype=np.int64)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "triangles", tris)
+        if tris.ndim != 2 or tris.shape[1] != 3 or len(tris) == 0:
+            raise ValueError(f"triangles must have shape (k, 3), k > 0, "
+                             f"got {tris.shape}")
+        if tris.min() < 0 or tris.max() >= len(nodes):
+            raise ValueError("triangle vertex index out of range")
+        x, y = nodes[:, 0], nodes[:, 1]
+        i, j, k = tris.T
+        area = 0.5 * ((x[j] - x[i]) * (y[k] - y[i]) - (y[j] - y[i]) * (x[k] - x[i]))
+        bad = np.flatnonzero(area == 0.0)
+        if bad.size:
+            raise ValueError(f"degenerate triangle {bad[0]}")
+        longest2 = np.maximum.reduce([
+            (x[b] - x[a]) ** 2 + (y[b] - y[a]) ** 2 for a, b in ((i, j), (j, k), (k, i))
+        ])
+        hbar = float(np.min(2.0 * np.abs(area) / np.sqrt(longest2)))
+        # stable argsort groups the flattened vertex list by node, keeping
+        # triangle ids ascending within each node's group
+        flat = tris.ravel()
+        order = np.argsort(flat, kind="stable")
+        degree = np.bincount(flat, minlength=len(nodes))
+        first = np.cumsum(degree) - degree
+        owner = flat[order]
+        star = np.full((len(nodes), int(degree.max())), -1, dtype=np.int64)
+        star[owner, np.arange(len(flat)) - first[owner]] = order // 3
+        object.__setattr__(self, "_area", area)
+        object.__setattr__(self, "_hbar", hbar)
+        object.__setattr__(self, "_star", star)
 
     @property
     def hbar(self) -> float:
         return self._hbar
 
+    @property
+    def star(self) -> np.ndarray:
+        """(nodes, max_degree) incident triangle ids, ascending, -1 padded."""
+        return self._star
+
     def incident(self, i: int) -> list[int]:
-        return self._incident[i]
+        row = self._star[i]
+        return row[row >= 0].tolist()
 
 
 def _signed_area(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
@@ -99,7 +132,7 @@ def _contains(tri_pts: np.ndarray, xi: np.ndarray) -> bool:
 def locate(mesh: TriMesh, i: int, xi: np.ndarray) -> int:
     """Owning triangle of xi within node i's star (lowest index wins), with a
     brute-force fallback before reporting a mesh error."""
-    for k in sorted(mesh.incident(i)):
+    for k in mesh.incident(i):
         if _contains(mesh.nodes[mesh.triangles[k]], xi):
             return k
     for k in range(len(mesh.triangles)):
@@ -134,56 +167,72 @@ def check_cfl_tri(mesh: TriMesh, field: VelocityField, dt: float) -> CflReport:
     return CflReport(lhs=lhs, bound=1.0, satisfied=lhs <= 1.0)
 
 
-def _node_rows(
-    mu_support: list[int],
+def _split(
+    support: list[int],
     mesh: TriMesh,
     field: VelocityField,
     n: int,
     dt: float,
-) -> dict[int, tuple[tuple[int, float], ...]]:
-    rows: dict[int, tuple[tuple[int, float], ...]] = {}
-    for i in sorted(mu_support):
-        x = mesh.nodes[i]
-        a = np.atleast_1d(field.time_average(n * dt, (n + 1) * dt, x))
-        xi = x + a * dt
-        k = locate(mesh, i, xi)
-        tri = mesh.triangles[k]
-        lam = barycentric(mesh.nodes[tri], xi)
-        rows[i] = tuple((int(j), float(l)) for j, l in zip(tri, lam))
-    return rows
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batched barycentric split of step n for the given nodes.
+
+    Returns dest (m, 3), the vertices of each displaced point's owning
+    triangle, and lam (m, 3), its clipped and renormalized barycentric
+    coordinates there (rows in the order of `support`).  Every triangle of
+    each node's star is tested at once and the lowest-index one containing
+    the point wins, as in `locate`; only misses go through `locate`.
+    """
+    ids = np.asarray(support, dtype=np.int64)
+    x0 = mesh.nodes[ids]
+    a = np.asarray(field.time_average(n * dt, (n + 1) * dt, x0), dtype=float)
+    xi = x0 + a * dt
+    px, py = xi[:, 0:1], xi[:, 1:2]
+    cand = mesh.star[ids]
+    padded = np.maximum(cand, 0)  # -1 pads read triangle 0, masked below
+    tri = mesh.triangles[padded]
+    x, y = mesh.nodes[:, 0], mesh.nodes[:, 1]
+    ax, ay = x[tri[..., 0]], y[tri[..., 0]]
+    bx, by = x[tri[..., 1]], y[tri[..., 1]]
+    cx, cy = x[tri[..., 2]], y[tri[..., 2]]
+    total = mesh._area[padded]
+    # the sub-area ratios of `barycentric`, term for term
+    lams = np.stack([
+        0.5 * ((bx - px) * (cy - py) - (by - py) * (cx - px)) / total,
+        0.5 * ((ax - px) * (cy - py) - (ay - py) * (cx - px)) / -total,
+        0.5 * ((ax - px) * (by - py) - (ay - py) * (bx - px)) / total,
+    ], axis=-1)
+    inside = (cand >= 0) & np.all(lams >= -_BARY_TOL, axis=-1)
+    hit = np.argmax(inside, axis=1)
+    rows = np.arange(len(ids))
+    owner = cand[rows, hit]
+    lam = np.maximum(lams[rows, hit], 0.0)
+    lam /= (lam[:, 0] + lam[:, 1] + lam[:, 2])[:, None]
+    for r in np.flatnonzero(~inside[rows, hit]):
+        owner[r] = locate(mesh, int(ids[r]), xi[r])
+        lam[r] = barycentric(mesh.nodes[mesh.triangles[owner[r]]], xi[r])
+    return mesh.triangles[owner], lam
 
 
-def sl_step(
-    mu: NodeMeasure,
-    field: VelocityField,
-    n: int,
-    dt: float,
-    row_cache: dict[int, tuple[tuple[int, float], ...]] | None = None,
-) -> NodeMeasure:
+def sl_step(mu: NodeMeasure, field: VelocityField, n: int, dt: float) -> NodeMeasure:
     """One forward semi-Lagrangian step: advect node masses and split them
     barycentrically onto the containing triangle's vertices.
 
-    row_cache (valid for time-constant fields only) memoizes per-node splits
-    across steps.
+    Checks the CFL condition before the step, and after it that the mass
+    moved by no more than the rounding of the support's weights.
     """
     report = check_cfl_tri(mu.mesh, field, dt)
     if not report.satisfied:
         raise CflError(report)
-    if row_cache is not None and field.time_regularity == "constant":
-        missing = [i for i in mu.support() if i not in row_cache]
-        if missing:
-            row_cache.update(_node_rows(missing, mu.mesh, field, n, dt))
-        rows = row_cache
-    else:
-        rows = _node_rows(mu.support(), mu.mesh, field, n, dt)
-    contrib: dict[int, list[float]] = {}
-    for i in mu.support():
-        w = mu.weights[i]
-        for j, lam in rows[i]:
-            if lam != 0.0:
-                contrib.setdefault(j, []).append(w * lam)
-    weights = {j: math.fsum(contrib[j]) for j in sorted(contrib)}
-    return NodeMeasure(mu.mesh, weights)
+    support = mu.support()
+    w = np.array([mu.weights[i] for i in support])
+    dest, lam = _split(support, mu.mesh, field, n, dt)
+    out = np.bincount(dest.ravel(), weights=(w[:, None] * lam).ravel())
+    nz = np.flatnonzero(out)
+    defect = abs(math.fsum(out[nz]) - math.fsum(w))
+    tol = 10.0 * _EPS * max(len(support), 1)
+    if defect > tol:
+        raise ValueError(f"mass defect {defect:.3e} exceeds {tol:.3e}")
+    return NodeMeasure(mu.mesh, dict(zip(nz.tolist(), out[nz].tolist())))
 
 
 def sl_kernel(
@@ -198,10 +247,12 @@ def sl_kernel(
     report = check_cfl_tri(mesh, field, dt)
     if not report.satisfied:
         raise CflError(report)
-    rows = _node_rows(list(mu_support), mesh, field, n, dt)
+    support = sorted(mu_support)
+    dest, lam = _split(support, mesh, field, n, dt)
     grid = CartesianGrid(dx=(1.0,), dt=dt)  # index bookkeeping only
     entries = {
-        (i,): tuple(((j,), p) for j, p in row) for i, row in rows.items()
+        (i,): tuple(((j,), p) for j, p in zip(row_d, row_l))
+        for i, row_d, row_l in zip(support, dest.tolist(), lam.tolist())
     }
     kernel = TransitionKernel(n=n, grid=grid, entries=entries)
     kernel.check_rows()
@@ -212,11 +263,10 @@ def offdiagonal_mass(
     mu_support: list[int], mesh: TriMesh, field: VelocityField, n: int, dt: float
 ) -> float:
     """Max over nodes of the mass leaving the node in one step."""
-    rows = _node_rows(list(mu_support), mesh, field, n, dt)
-    worst = 0.0
-    for i, row in rows.items():
-        worst = max(worst, math.fsum(p for j, p in row if j != i))
-    return worst
+    ids = np.asarray(mu_support, dtype=np.int64)
+    dest, lam = _split(mu_support, mesh, field, n, dt)
+    return float(np.max(np.where(dest != ids[:, None], lam, 0.0).sum(axis=1),
+                        initial=0.0))
 
 
 def sl_run(
@@ -234,19 +284,16 @@ def structured_mesh(
     """Split-square triangulation of a box: (n_x+1) x (n_y+1) nodes, each
     square cut along its lower-left to upper-right diagonal."""
     nx, ny = n
-    xs = np.linspace(lo[0], hi[0], nx + 1)
-    ys = np.linspace(lo[1], hi[1], ny + 1)
-    nodes = np.array([(x, y) for y in ys for x in xs])
-    tris = []
-    for iy in range(ny):
-        for ix in range(nx):
-            v00 = iy * (nx + 1) + ix
-            v10 = v00 + 1
-            v01 = v00 + (nx + 1)
-            v11 = v01 + 1
-            tris.append((v00, v10, v11))
-            tris.append((v00, v11, v01))
-    return TriMesh(nodes=nodes, triangles=np.array(tris))
+    gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], nx + 1),
+                         np.linspace(lo[1], hi[1], ny + 1))
+    nodes = np.column_stack([gx.ravel(), gy.ravel()])
+    iy, ix = np.divmod(np.arange(nx * ny), nx)
+    v00 = iy * (nx + 1) + ix
+    v10 = v00 + 1
+    v01 = v00 + (nx + 1)
+    v11 = v01 + 1
+    tris = np.stack([v00, v10, v11, v00, v11, v01], axis=1).reshape(-1, 3)
+    return TriMesh(nodes=nodes, triangles=tris)
 
 
 def node_nearest(mesh: TriMesh, x: tuple[float, float]) -> int:

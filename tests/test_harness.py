@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,7 +19,10 @@ from mtlab.harness import (
     report_csv,
     run_resolution,
     run_study,
+    run_tri_resolution,
+    run_tri_study,
 )
+from mtlab import harness
 from mtlab.measures import project_initial
 from mtlab.schemes import SchemeSpec, step
 from mtlab import cli
@@ -212,6 +217,29 @@ def test_cli_tri_run(capsys):
     code = cli.main(["tri-run", "--ladder", "16,32", "--T", "0.5"])
     assert code == 0
     assert "slope" in capsys.readouterr().out
+
+
+def test_tri_report_echoes_its_config(tmp_path, capsys):
+    cfg = TriStudyConfig(ladder=(16, 32), T=0.5)
+    expected = json.loads(json.dumps(asdict(cfg)))
+    _, api_json = emit_report(run_tri_study(cfg), str(tmp_path / "api"))
+    assert cli.main(["tri-run", "--ladder", "16,32", "--T", "0.5",
+                     "--out", str(tmp_path / "cli")]) == 0
+    for path in (api_json, str(tmp_path / "cli.json")):
+        with open(path) as fh:
+            assert json.load(fh)["config"] == expected
+
+
+def test_tri_runtime_includes_mesh_building(monkeypatch):
+    build = harness.structured_mesh
+
+    def slow_build(*args):
+        time.sleep(0.05)
+        return build(*args)
+
+    monkeypatch.setattr(harness, "structured_mesh", slow_build)
+    row = run_tri_resolution(TriStudyConfig(ladder=(8,), T=0.1), 8)
+    assert row.runtime_s >= 0.05
 
 
 def test_cli_interp_check(capsys):
