@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from mtlab.harness import StudyConfig
+from mtlab.harness import StudyConfig, step_count
 from mtlab.measures import project_initial
 from mtlab.schemes import SchemeSpec
 from mtlab.stochastic import (
@@ -36,7 +36,7 @@ def main() -> int:
     cfg = StudyConfig(example=args.example, T=args.T, seed=args.seed)
     grid = cfg.grid_for(args.N)
     mu0 = project_initial(cfg.initial(), grid)
-    steps = int(round(cfg.T / grid.dt))
+    steps = step_count(cfg.T, grid.dt)
     kernels = make_kernels(mu0, SchemeSpec(cfg.scheme), cfg.field(), steps)
     batch = sample_paths(mu0, kernels, args.paths, args.seed)
     stats = increment_residual(batch, cfg.field(), grid, min_visits=1000)

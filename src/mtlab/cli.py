@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -20,9 +19,9 @@ from .harness import (
     config_from_mapping,
     emit_report,
     report_csv,
-    run_resolution,
     run_study,
     run_tri_study,
+    step_count,
 )
 from .measures import deserialize, project_initial, serialize
 from .schemes import CflError, SchemeSpec, run as run_scheme
@@ -119,7 +118,7 @@ def _cmd_run(args) -> int:
     cfg = _study_config(args)
     grid = cfg.grid_for(args.N)
     mu0 = project_initial(cfg.initial(), grid)
-    steps = int(math.floor(cfg.T / grid.dt + 1e-9))
+    steps = step_count(cfg.T, grid.dt)
     history = run_scheme(mu0, SchemeSpec(cfg.scheme), cfg.field(), steps)
     text = serialize(history[-1])
     if cfg.out:
@@ -146,7 +145,7 @@ def _cmd_mc_compare(args) -> int:
     cfg = _study_config(args)
     grid = cfg.grid_for(args.N)
     mu0 = project_initial(cfg.initial(), grid)
-    steps = int(math.floor(cfg.T / grid.dt + 1e-9))
+    steps = step_count(cfg.T, grid.dt)
     kernels = make_kernels(mu0, SchemeSpec(cfg.scheme), cfg.field(), steps)
     batch = sample_paths(mu0, kernels, args.paths, cfg.seed)
     stats = increment_residual(batch, cfg.field(), grid)

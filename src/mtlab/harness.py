@@ -3,9 +3,10 @@
 A study runs one scheme over a ladder of resolutions on a fixed box, measures
 the distance to the exact solution at every step, keeps the per-resolution
 maximum, and fits the order of convergence by least squares on the log-log
-cloud.  The 1D stepping below is a vectorized replica of the sparse scheme
-step (same convex-combination weights on a contiguous index window), so the
-ladder's finest resolutions stay fast.
+cloud.  A 1D study keeps its weights as a dense window (first index, weight
+array) between steps and advances it with the scheme engine of
+`mtlab.schemes`, the same rows and apply routine as the sparse step, trimmed
+to its nonzero range after each step.
 """
 
 from __future__ import annotations
@@ -24,13 +25,19 @@ from .flows import ExactSolution, exact_solution
 from .measures import (
     AnalyticMeasure,
     CartesianGrid,
-    DiscreteMeasure,
     QuantileFunction,
     dirac,
     project_initial,
     uniform,
 )
-from .schemes import CflError, CflReport, SchemeSpec
+from .schemes import (
+    CflError,
+    SchemeSpec,
+    apply_window,
+    check_cfl,
+    measure_arrays,
+    transition_rows,
+)
 from .simplex import (
     NodeMeasure,
     check_cfl_tri,
@@ -109,7 +116,17 @@ class StudyConfig:
 
     def grid_for(self, N: int) -> CartesianGrid:
         dx = (self.domain[1] - self.domain[0]) / N
-        return CartesianGrid(dx=(dx,), dt=self.cfl * dx)
+        try:
+            return CartesianGrid(dx=(dx,), dt=self.cfl * dx)
+        except ValueError as exc:
+            raise ConfigError(f"resolution N={N}: {exc}") from exc
+
+
+def step_count(T: float, dt: float) -> int:
+    """Number of steps of length dt in a run to time T: floor(T/dt), with a
+    1e-9 allowance so that rounding in T/dt cannot drop the last step when T
+    is a whole number of steps."""
+    return int(math.floor(T / dt + 1e-9))
 
 
 def _initial_datum(example: str) -> AnalyticMeasure:
@@ -174,45 +191,6 @@ def fit_order(ns: np.ndarray, errs: np.ndarray) -> tuple[float, float]:
     return -float(coef[0]), float(np.sqrt(np.mean(resid * resid)))
 
 
-# ---------------------------------------------------------------------------
-# vectorized 1D stepping on a contiguous index window
-
-
-@dataclass
-class _Window:
-    jmin: int
-    ws: np.ndarray
-
-
-def _window_of(mu: DiscreteMeasure) -> _Window:
-    sup = mu.support()
-    jmin = sup[0][0]
-    jmax = sup[-1][0]
-    ws = np.zeros(jmax - jmin + 1)
-    for (j,), w in mu.weights.items():
-        ws[j - jmin] = w
-    return _Window(jmin=jmin, ws=ws)
-
-
-def _step_window(
-    win: _Window, spec: SchemeSpec, fld: VelocityField, n: int, grid: CartesianGrid
-) -> _Window:
-    dx, dt = grid.dx[0], grid.dt
-    lam = dt / dx
-    m = len(win.ws)
-    xs = (win.jmin + np.arange(m)) * dx
-    a = np.asarray(fld.time_average(n * dt, (n + 1) * dt, xs))
-    zeta, beta = spec.coefficients_1d(fld, a)
-    stay = np.maximum(0.0, 1.0 - lam * (zeta + beta))
-    out = np.zeros(m + 2)
-    out[1:-1] += stay * win.ws
-    out[2:] += lam * zeta * win.ws
-    out[:-2] += lam * beta * win.ws
-    lo = int(np.argmax(out > 0.0))
-    hi = m + 2 - int(np.argmax(out[::-1] > 0.0))
-    return _Window(jmin=win.jmin - 1 + lo, ws=out[lo:hi])
-
-
 def _quantile_from_arrays(xs: np.ndarray, ws: np.ndarray) -> QuantileFunction:
     u = np.cumsum(ws)
     u[-1] = 1.0
@@ -225,22 +203,25 @@ def _quantile_from_arrays(xs: np.ndarray, ws: np.ndarray) -> QuantileFunction:
 
 
 def _distance_at(
-    cfg: StudyConfig, win: _Window, grid: CartesianGrid, t: float
+    cfg: StudyConfig,
+    exact: ExactSolution,
+    jmin: int,
+    window: np.ndarray,
+    dx: float,
+    t: float,
 ) -> float:
-    dx = grid.dx[0]
-    exact = cfg.exact()
-    keep = win.ws > 0.0
-    xs = (win.jmin + np.flatnonzero(keep)) * dx
-    ws = win.ws[keep]
-    if cfg.distance == "w1":
-        return w1_grid_vs_quantile(xs, ws, exact.quantile_fn(t))
     if cfg.distance == "l1":
         ref = exact.measure(t)
         if ref.atoms:
             raise ConfigError("L1 distance needs an atom-free exact solution")
-        return l1_grid_vs_pieces(win.jmin, win.ws, dx, ref.pieces)
+        return l1_grid_vs_pieces(jmin, window, dx, ref.pieces)
+    xs = np.arange(jmin, jmin + len(window)) * dx
+    if cfg.distance == "w1":  # skips the window's zero cells itself
+        return w1_grid_vs_quantile(xs, window, exact.quantile_fn(t))
+    keep = window > 0.0
     p = float(_WP_RE.fullmatch(cfg.distance).group(1))
-    return wp_1d(_quantile_from_arrays(xs, ws), exact.quantile_fn(t), p)
+    return wp_1d(_quantile_from_arrays(xs[keep], window[keep]),
+                 exact.quantile_fn(t), p)
 
 
 def run_resolution(cfg: StudyConfig, N: int) -> ResolutionRow:
@@ -248,25 +229,31 @@ def run_resolution(cfg: StudyConfig, N: int) -> ResolutionRow:
     grid = cfg.grid_for(N)
     spec = SchemeSpec(cfg.scheme)
     fld = cfg.field()
-    from .schemes import check_cfl
-
     report = check_cfl(spec, fld, grid)
     if not report.satisfied:
         raise CflError(report)
     start = time.perf_counter()
     mu0 = project_initial(cfg.initial(), grid)
-    win = _window_of(mu0)
-    steps = int(math.floor(cfg.T / grid.dt + 1e-9))
-    worst = _distance_at(cfg, win, grid, 0.0)
-    worst_env = worst / grid.dx[0]  # t=0 envelope denominator is dx
+    _, idx, w = measure_arrays(mu0)
+    jmin = int(idx.min())
+    window = np.zeros(int(idx.max()) - jmin + 1)
+    window[idx[:, 0] - jmin] = w
+    steps = step_count(cfg.T, grid.dt)
+    exact, dx = cfg.exact(), grid.dx[0]
+    worst = _distance_at(cfg, exact, jmin, window, dx, 0.0)
+    worst_env = worst / dx  # t=0 envelope denominator is dx
     for n in range(steps):
-        win = _step_window(win, spec, fld, n, grid)
+        idx = np.arange(jmin, jmin + len(window))[:, None]
+        probs = transition_rows(spec, fld, n, idx, grid)
+        _, box = apply_window(idx[0], window, probs)
+        nz = box.nonzero()[0]
+        jmin, window = jmin - 1 + int(nz[0]), box[nz[0]:nz[-1] + 1]
         t = (n + 1) * grid.dt
-        e = _distance_at(cfg, win, grid, t)
+        e = _distance_at(cfg, exact, jmin, window, dx, t)
         worst = max(worst, e)
-        worst_env = max(worst_env, e / (math.sqrt(t * grid.dx[0]) + grid.dx[0]))
+        worst_env = max(worst_env, e / (math.sqrt(t * dx) + dx))
     runtime = time.perf_counter() - start
-    return ResolutionRow(N=N, dx=grid.dx[0], error=worst,
+    return ResolutionRow(N=N, dx=dx, error=worst,
                          runtime_s=runtime, envelope_c=worst_env)
 
 
@@ -374,7 +361,7 @@ def run_tri_resolution(cfg: TriStudyConfig, N: int) -> ResolutionRow:
     if not report.satisfied:
         raise CflError(report)
     mu = NodeMeasure(mesh, {node_nearest(mesh, cfg.x0): 1.0})
-    steps = int(math.floor(cfg.T / dt + 1e-9))
+    steps = step_count(cfg.T, dt)
     speed = np.asarray(cfg.speed)
     x0 = np.asarray(cfg.x0)
     worst = w1_to_point(mu, x0)

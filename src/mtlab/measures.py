@@ -254,18 +254,52 @@ def serialize(mu: DiscreteMeasure) -> str:
     return "\n".join(lines) + "\n"
 
 
+class MeasureFileError(ValueError):
+    """A measure table that cannot be read back as a probability measure."""
+
+    def __init__(self, reason: str):
+        super().__init__(f"bad measure table: {reason}")
+
+
 def deserialize(text: str) -> DiscreteMeasure:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0]
-    if not header.startswith("# mtlab measure"):
-        raise ValueError("not a measure table")
-    meta = dict(tok.split("=", 1) for tok in header.split()[3:])
-    grid = CartesianGrid(
-        dx=tuple(float(v) for v in meta["dx"].split(",")), dt=float(meta["dt"])
-    )
+    """Read a table written by `serialize`; MeasureFileError if it is empty,
+    lacks the header, disagrees with its own header, or is not a
+    probability measure."""
+    lines = [(num, ln) for num, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip()]
+    if not lines or not lines[0][1].startswith("# mtlab measure"):
+        raise MeasureFileError("missing '# mtlab measure' header")
+    header = lines[0][1]
+    try:
+        meta = dict(tok.split("=", 1) for tok in header.split()[3:])
+        dims = int(meta["d"])
+        grid = CartesianGrid(
+            dx=tuple(float(v) for v in meta["dx"].split(",")), dt=float(meta["dt"])
+        )
+    except (KeyError, ValueError) as exc:
+        raise MeasureFileError(f"header {header!r}: {exc}") from exc
+    if grid.dims != dims:
+        raise MeasureFileError(f"header says d={dims} but gives {grid.dims} cell widths")
     weights: dict[MultiIndex, float] = {}
-    for ln in lines[1:]:
+    for num, ln in lines[1:]:
         parts = ln.split()
-        J = tuple(int(v) for v in parts[:-1])
-        weights[J] = float(parts[-1])
-    return DiscreteMeasure(grid, weights)
+        if len(parts) != dims + 1:
+            raise MeasureFileError(
+                f"line {num}: expected {dims} indices and a weight, got {ln!r}"
+            )
+        try:
+            J = tuple(int(v) for v in parts[:-1])
+            w = float(parts[-1])
+        except ValueError as exc:
+            raise MeasureFileError(f"line {num}: {exc}") from exc
+        if not math.isfinite(w):
+            raise MeasureFileError(f"line {num}: weight {w!r} is not finite")
+        if J in weights:
+            raise MeasureFileError(f"line {num}: index {J} listed twice")
+        weights[J] = w
+    try:
+        mu = DiscreteMeasure(grid, weights)
+        mu.check_mass()
+    except ValueError as exc:
+        raise MeasureFileError(f"not a probability measure: {exc}") from exc
+    return mu

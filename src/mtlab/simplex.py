@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _EPS, CartesianGrid
+from .measures import _EPS
 from .schemes import CflError, CflReport
-from .stochastic import TransitionKernel
+from .stochastic import check_rows
 from .velocity import VelocityField
 
 _BARY_TOL = 1e-12
@@ -213,6 +213,21 @@ def _split(
     return mesh.triangles[owner], lam
 
 
+def _scatter(
+    dest: np.ndarray, lam: np.ndarray, w: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Node ids and weights after sending lam[k, s] of the weight w[k] to
+    node dest[k, s]; ValueError when the mass moves by more than the
+    rounding of the weights."""
+    out = np.bincount(dest.ravel(), weights=(w[:, None] * lam).ravel())
+    nz = np.flatnonzero(out)
+    defect = abs(math.fsum(out[nz]) - math.fsum(w))
+    tol = 10.0 * _EPS * max(len(w), 1)
+    if defect > tol:
+        raise ValueError(f"mass defect {defect:.3e} exceeds {tol:.3e}")
+    return nz, out[nz]
+
+
 def sl_step(mu: NodeMeasure, field: VelocityField, n: int, dt: float) -> NodeMeasure:
     """One forward semi-Lagrangian step: advect node masses and split them
     barycentrically onto the containing triangle's vertices.
@@ -225,14 +240,30 @@ def sl_step(mu: NodeMeasure, field: VelocityField, n: int, dt: float) -> NodeMea
         raise CflError(report)
     support = mu.support()
     w = np.array([mu.weights[i] for i in support])
-    dest, lam = _split(support, mu.mesh, field, n, dt)
-    out = np.bincount(dest.ravel(), weights=(w[:, None] * lam).ravel())
-    nz = np.flatnonzero(out)
-    defect = abs(math.fsum(out[nz]) - math.fsum(w))
-    tol = 10.0 * _EPS * max(len(support), 1)
-    if defect > tol:
-        raise ValueError(f"mass defect {defect:.3e} exceeds {tol:.3e}")
-    return NodeMeasure(mu.mesh, dict(zip(nz.tolist(), out[nz].tolist())))
+    ids, weights = _scatter(*_split(support, mu.mesh, field, n, dt), w)
+    return NodeMeasure(mu.mesh, dict(zip(ids.tolist(), weights.tolist())))
+
+
+@dataclass(frozen=True, eq=False)
+class NodeKernel:
+    """Node-indexed transition kernel of one semi-Lagrangian step: row k
+    sends lam[k, s] of the mass at node ids[k] to node dest[k, s] (ids
+    ascending; rows (m, 3), each summing to 1)."""
+
+    n: int
+    ids: np.ndarray
+    dest: np.ndarray
+    lam: np.ndarray
+
+    def push(self, idx: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Node ids (k, 1) and weights of the law w on the node ids idx
+        (m, 1) after this step; KeyError names a node without a row."""
+        rows = np.minimum(np.searchsorted(self.ids, idx[:, 0]), len(self.ids) - 1)
+        missing = self.ids[rows] != idx[:, 0]
+        if missing.any():
+            raise KeyError(int(idx[np.argmax(missing), 0]))
+        ids, weights = _scatter(self.dest[rows], self.lam[rows], w)
+        return ids[:, None], weights
 
 
 def sl_kernel(
@@ -241,22 +272,17 @@ def sl_kernel(
     field: VelocityField,
     n: int,
     dt: float,
-) -> TransitionKernel:
-    """Node-indexed transition kernel of one semi-Lagrangian step; each row
-    has at most 3 nonzero entries summing to 1."""
+) -> NodeKernel:
+    """Transition kernel of one semi-Lagrangian step on the given nodes;
+    each row has at most 3 nonzero entries summing to 1."""
     report = check_cfl_tri(mesh, field, dt)
     if not report.satisfied:
         raise CflError(report)
-    support = sorted(mu_support)
+    support = sorted(set(mu_support))
     dest, lam = _split(support, mesh, field, n, dt)
-    grid = CartesianGrid(dx=(1.0,), dt=dt)  # index bookkeeping only
-    entries = {
-        (i,): tuple(((j,), p) for j, p in zip(row_d, row_l))
-        for i, row_d, row_l in zip(support, dest.tolist(), lam.tolist())
-    }
-    kernel = TransitionKernel(n=n, grid=grid, entries=entries)
-    kernel.check_rows()
-    return kernel
+    ids = np.array(support, dtype=np.int64)
+    check_rows(ids, lam.T)
+    return NodeKernel(n, ids, dest, lam)
 
 
 def offdiagonal_mass(

@@ -1,4 +1,4 @@
-"""Bounded one-sided-Lipschitz velocity fields and time-averaged node velocities.
+"""Bounded one-sided-Lipschitz velocity fields and their time averages.
 
 A field is a total, everywhere-defined function (t, x) -> R^d together with a
 sup bound and a declared OSL modulus alpha(t).  The pointwise representative
@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .measures import CartesianGrid, MultiIndex
 
 # 4-point Gauss-Legendre nodes/weights on [-1, 1]
 _GL_X = np.array([-0.8611363115940526, -0.3399810435848563,
@@ -61,14 +59,6 @@ class VelocityField:
                 acc = acc + wi * self(mid + half * xi, x)
             return 0.5 * acc
         raise ValueError(f"unknown time_regularity {self.time_regularity!r}")
-
-
-def averaged_velocity(
-    field: VelocityField, n: int, J: MultiIndex, grid: CartesianGrid
-) -> np.ndarray:
-    """Numerical node velocity: time average of the field at x_J over step n."""
-    x = grid.node_array(J)
-    return field.time_average(grid.time(n), grid.time(n + 1), x)
 
 
 def osl_probe(

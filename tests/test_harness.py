@@ -11,8 +11,6 @@ from mtlab.harness import (
     ConfigError,
     StudyConfig,
     TriStudyConfig,
-    _step_window,
-    _window_of,
     config_from_mapping,
     emit_report,
     fit_order,
@@ -21,11 +19,13 @@ from mtlab.harness import (
     run_study,
     run_tri_resolution,
     run_tri_study,
+    step_count,
 )
 from mtlab import harness
 from mtlab.measures import project_initial
-from mtlab.schemes import SchemeSpec, step
+from mtlab.schemes import SchemeSpec, apply_window, transition_rows
 from mtlab import cli
+from reference import reference_step
 
 
 def test_config_validation():
@@ -64,17 +64,23 @@ def test_fit_order():
 
 
 def test_window_step_matches_sparse_scheme():
-    # the vectorized ladder runner must replicate the audited sparse step
+    # the study's dense window, zero cells included, advanced by the engine
+    # must replicate the audited per-node sparse step
     cfg = StudyConfig(example="example1")
     grid = cfg.grid_for(40)
     spec = SchemeSpec("upwind")
     fld = cfg.field()
     mu = project_initial(cfg.initial(), grid)
-    win = _window_of(mu)
+    (jmin,), = mu.support()
+    window = np.array([0.0, 1.0, 0.0])
+    jmin -= 1
     for n in range(30):
-        mu = step(mu, spec, fld, n)
-        win = _step_window(win, spec, fld, n, grid)
-        dense = {(win.jmin + k,): w for k, w in enumerate(win.ws) if w != 0.0}
+        mu = reference_step(mu, spec, fld, n)
+        idx = (jmin + np.arange(len(window)))[:, None]
+        probs = transition_rows(spec, fld, n, idx, grid)
+        lo, window = apply_window(idx[0], window, probs)
+        jmin = int(lo[0])
+        dense = {(jmin + k,): w for k, w in enumerate(window) if w != 0.0}
         assert set(dense) == set(mu.weights)
         for J, w in mu.weights.items():
             assert abs(dense[J] - w) <= 1e-14
@@ -190,6 +196,39 @@ def test_cli_run_writes_measure(tmp_path):
 
     mu = deserialize(out.read_text())
     assert abs(mu.mass() - 1.0) < 1e-12
+
+
+def test_cli_run_classifies_a_bad_resolution(capsys):
+    # N = 3 on the default box gives dx = 5/3 > 1: a configuration error
+    assert cli.main(["run", "--example", "example1", "--N", "3"]) == 2
+    assert "config error" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        StudyConfig().grid_for(3)
+
+
+def test_step_count_rule():
+    assert step_count(0.3, 0.1) == 3       # 0.3 / 0.1 = 2.9999999999999996
+    assert step_count(0.25, 0.1) == 2      # round() would give 3
+    assert step_count(2.0, 0.5 * 5.0 / 3200) == 2560
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "0 1.0\n",
+    "# mtlab measure d=2 dx=0.5 dt=0.25\n0 1.0\n",
+    "# mtlab measure d=1 dx=0.5 dt=0.25\n0 0.5\n",
+])
+def test_cli_distance_rejects_bad_tables(tmp_path, capsys, text):
+    from mtlab.measures import CartesianGrid, DiscreteMeasure, serialize
+
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text(serialize(DiscreteMeasure(CartesianGrid(dx=(0.5,), dt=0.25),
+                                              {(0,): 1.0})))
+    bad.write_text(text)
+    assert cli.main(["distance", str(good), str(bad)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "measure" in captured.err and "Traceback" not in captured.err
 
 
 def test_cli_distance(tmp_path, capsys):

@@ -10,6 +10,7 @@ from mtlab.measures import (
     CartesianGrid,
     DimensionError,
     DiscreteMeasure,
+    MeasureFileError,
     deserialize,
     dirac,
     measure_from_quantile,
@@ -136,3 +137,22 @@ def test_serialize_roundtrip():
     assert back.weights == mu.weights
     with pytest.raises(ValueError):
         deserialize("not a table\n")
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("", "missing"),
+    ("\n  \n", "missing"),
+    ("0 1.0\n", "missing"),
+    ("# mtlab measure d=2 dx=0.5 dt=0.25\n0 1.0\n", "d=2"),
+    ("# mtlab measure d=1 dx=0.5 dt=0.25\n0 1 1.0\n", "line 2"),
+    ("# mtlab measure d=1 dx=0.5 dt=0.25\n0 0.5\n", "probability"),
+    ("# mtlab measure d=1 dx=0.5 dt=0.25\n0 0.5\n0 0.5\n", "twice"),
+    ("# mtlab measure d=1 dx=0.5 dt=0.25\n0 1.5\n1 -0.5\n", "probability"),
+    ("# mtlab measure d=1 dt=0.25\n0 1.0\n", "header"),
+    ("# mtlab measure d=1 dx=2.0 dt=0.25\n0 1.0\n", "header"),
+    ("# mtlab measure d=1 dx=0.5 dt=0.25\nx 1.0\n", "line 2"),
+    ("# mtlab measure d=1 dx=0.5 dt=0.25\n\n0 nan\n", "line 3"),
+])
+def test_deserialize_rejects_bad_tables(text, reason):
+    with pytest.raises(MeasureFileError, match=reason):
+        deserialize(text)

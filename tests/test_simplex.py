@@ -338,6 +338,19 @@ def test_mass_conservation_and_kernel_equivalence():
             assert abs(law.weights.get((i,), 0.0) - w) <= 1e-12
 
 
+def test_node_kernel_push_needs_a_row_per_node():
+    mesh = structured_mesh((-1.0, -1.0), (1.0, 1.0), (4, 4))
+    f = constant([0.3, 0.2])
+    dt = 0.5 * mesh.hbar / f.a_inf
+    kernel = sl_kernel([6, 7, 7], mesh, f, 0, dt)
+    assert kernel.ids.tolist() == [6, 7]
+    ids, w = kernel.push(np.array([[7]]), np.array([1.0]))
+    out = sl_step(NodeMeasure(mesh, {7: 1.0}), f, 0, dt)
+    assert dict(zip(ids[:, 0].tolist(), w.tolist())) == out.weights
+    with pytest.raises(KeyError):
+        kernel.push(np.array([[8]]), np.array([1.0]))
+
+
 def test_offdiagonal_mass_bound():
     mesh = structured_mesh((-1.0, -1.0), (1.0, 1.0), (8, 8))
     f = constant([0.9, 0.3])

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import grid_for, random_osl_field
 from mtlab.measures import CartesianGrid
+from mtlab.schemes import node_velocity
 from mtlab.velocity import (
     VelocityField,
-    averaged_velocity,
     constant,
     example1,
     example2,
@@ -17,20 +17,26 @@ from mtlab.velocity import (
 )
 
 
+def velocity_at(f, n, J, g):
+    """Node velocity of the single node J through the batched engine."""
+    return node_velocity(f, n, np.array([J]), g)[0]
+
+
 def test_averaged_velocity_constant_field():
     g = CartesianGrid(dx=(0.5,), dt=0.25)
     f = constant(1.0)
     for n in (0, 3):
-        for j in (-2, 0, 5):
-            assert averaged_velocity(f, n, (j,), g) == pytest.approx(1.0)
+        a = node_velocity(f, n, np.array([[-2], [0], [5]]), g)
+        assert a.shape == (3, 1)
+        assert a[:, 0] == pytest.approx([1.0, 1.0, 1.0])
 
 
 def test_averaged_velocity_two_speed_field():
     g = CartesianGrid(dx=(0.25,), dt=0.1)
     f = example1()
-    assert averaged_velocity(f, 0, (-2,), g) == 1.0      # x = -0.5
-    assert averaged_velocity(f, 0, (1,), g) == 0.5       # x = 0.25
-    assert averaged_velocity(f, 0, (0,), g) == 0.5       # right value at jump
+    # x = -0.5, x = 0.25, and the right value at the jump x = 0
+    a = node_velocity(f, 0, np.array([[-2], [1], [0]]), g)
+    assert a[:, 0].tolist() == [1.0, 0.5, 0.5]
 
 
 def test_averaged_velocity_time_affine_quadrature():
@@ -40,17 +46,17 @@ def test_averaged_velocity_time_affine_quadrature():
     f = VelocityField(ev, a_inf=2.0, time_regularity="quadrature")
     g = CartesianGrid(dx=(0.5,), dt=0.2)
     # exact average of an affine function is the midpoint value
-    got = averaged_velocity(f, 3, (0,), g)
+    got = velocity_at(f, 3, (0,), g)
     assert got == pytest.approx(0.5 * (0.6 + 0.8), abs=1e-14)
     f_aff = VelocityField(ev, a_inf=2.0, time_regularity="affine")
-    assert averaged_velocity(f_aff, 3, (0,), g) == pytest.approx(0.7, abs=1e-15)
+    assert velocity_at(f_aff, 3, (0,), g) == pytest.approx(0.7, abs=1e-15)
 
 
 def test_time_lipschitz_uses_left_endpoint():
     f = example3()
     g = CartesianGrid(dx=(0.25,), dt=0.25)
     # at t^n = 0.5 the front sits at 0.5; node 0.25 is left of it -> speed 2
-    assert averaged_velocity(f, 2, (1,), g) == 2.0
+    assert velocity_at(f, 2, (1,), g) == 2.0
 
 
 def test_osl_probe_signs():
@@ -76,10 +82,10 @@ def test_averaged_velocity_bounded_by_a_inf():
     for dims in (1, 2, 3):
         f = random_osl_field(rng, dims)
         g = grid_for(f, dims)
-        for _ in range(50):
-            J = tuple(int(v) for v in rng.integers(-5, 6, size=dims))
-            a = np.atleast_1d(averaged_velocity(f, 0, J, g))
-            assert float(np.linalg.norm(a)) <= f.a_inf + 1e-12
+        idx = rng.integers(-5, 6, size=(50, dims))
+        a = node_velocity(f, 0, idx, g)
+        assert a.shape == (50, dims)
+        assert float(np.linalg.norm(a, axis=1).max()) <= f.a_inf + 1e-12
 
 
 def test_named_field_lookup():
