@@ -35,6 +35,7 @@ from .stochastic import (
 )
 from .wasserstein import (
     PiecewiseConstantDensity,
+    check_order,
     indicator,
     interpolation_check,
     w1_pair,
@@ -185,6 +186,10 @@ def _cmd_tri_run(args) -> int:
 
 
 def _cmd_distance(args) -> int:
+    try:
+        check_order(args.p)
+    except ValueError as exc:
+        raise ConfigError(f"--p: {exc}") from None
     with open(args.left) as fh:
         mu = deserialize(fh.read())
     with open(args.right) as fh:

@@ -44,24 +44,20 @@ def euler_step(flow: EulerFlow) -> EulerFlow:
 
 
 def quantile_of_analytic(m: AnalyticMeasure) -> QuantileFunction:
-    """Generalized inverse CDF of a 1D analytic measure (atoms + densities)."""
+    """Generalized inverse CDF of a 1D analytic measure (atoms + densities).
+
+    Atoms give flat pieces and density pieces affine ones of slope 1/height,
+    ordered by position (an atom before a density piece at the same point);
+    atoms of zero mass and empty or zero-height pieces are left out.
+    """
     if m.dims != 1:
         raise ValueError("quantile functions are 1D only")
-    parts: list[tuple[float, str, float, float]] = []
-    for (x,), mass in m.atoms:
-        if mass > 0.0:
-            parts.append((x, "atom", mass, 0.0))
-    for lo, hi, h in m.pieces:
-        if hi > lo and h > 0.0:
-            parts.append((lo, "piece", h * (hi - lo), 1.0 / h))
-    parts.sort(key=lambda p: p[0])
-    pieces = []
-    z = 0.0
-    for idx, (x, _, mass, slope) in enumerate(parts):
-        z_next = 1.0 if idx == len(parts) - 1 else z + mass
-        pieces.append((z, z_next, x, slope))
-        z = z_next
-    return QuantileFunction(tuple(pieces))
+    parts = [(x, mass, 0.0) for (x,), mass in m.atoms if mass > 0.0]
+    parts += [(lo, h * (hi - lo), 1.0 / h) for lo, hi, h in m.pieces
+              if hi > lo and h > 0.0]
+    parts.sort(key=lambda part: part[0])
+    x, mass, slope = np.array(parts).reshape(-1, 3).T
+    return QuantileFunction.from_masses(x, mass, slope)
 
 
 EXACT_KINDS = ("example1", "example2", "example3", "constant-dirac")
@@ -121,7 +117,7 @@ class ExactSolution:
             pos = self.position(t)
             if len(pos) != 1:
                 raise ValueError("quantile functions are 1D only")
-            return QuantileFunction(((0.0, 1.0, pos[0], 0.0),))
+            return QuantileFunction(np.array([0.0, 1.0]), np.array(pos), np.zeros(1))
         return quantile_of_analytic(self.measure(t))
 
 

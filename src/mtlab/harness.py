@@ -47,7 +47,7 @@ from .simplex import (
     w1_to_point,
 )
 from .velocity import VelocityField, named_field
-from .wasserstein import l1_grid_vs_pieces, w1_grid_vs_quantile, wp_1d
+from .wasserstein import check_order, l1_grid_vs_pieces, wp_1d
 
 DEFAULT_LADDER = (100, 200, 400, 800, 1600, 3200)
 DEFAULT_DOMAIN = (-2.5, 2.5)
@@ -61,9 +61,31 @@ class ConfigError(ValueError):
     """Invalid study configuration."""
 
 
+def _distance_order(distance: str) -> float | None:
+    """Order p of a distance name; ConfigError unless it is "l1", "w1" or
+    "wp(p)" with a finite p >= 1."""
+    if distance == "l1":
+        return None
+    if distance == "w1":
+        return 1.0
+    match = _WP_RE.fullmatch(distance)
+    if not match:
+        raise ConfigError(f"unknown distance {distance!r}")
+    try:
+        p = float(match.group(1))
+        check_order(p)
+    except ValueError as exc:
+        raise ConfigError(f"distance {distance!r}: {exc}") from None
+    return p
+
+
 @dataclass(frozen=True)
 class StudyConfig:
-    """Everything a convergence study needs, in one validated record."""
+    """Everything a convergence study needs, in one validated record.
+
+    `order` (not a field) is the order p of the distance: 1 for "w1", p for
+    "wp(p)", None for "l1".
+    """
 
     example: str = "example1"
     scheme: str = "upwind"
@@ -95,8 +117,7 @@ class StudyConfig:
             raise ConfigError("CFL ratio must be positive")
         if self.domain[1] <= self.domain[0]:
             raise ConfigError("domain must be a nonempty interval")
-        if self.distance not in ("w1", "l1") and not _WP_RE.fullmatch(self.distance):
-            raise ConfigError(f"unknown distance {self.distance!r}")
+        object.__setattr__(self, "order", _distance_order(self.distance))
         # only the field bound is checked up front; scheme-specific CFL
         # (e.g. the doubled Rusanov coefficient bound) is checked at run time
         if self.field().a_inf * self.cfl > 1.0 + 1e-12:
@@ -191,17 +212,6 @@ def fit_order(ns: np.ndarray, errs: np.ndarray) -> tuple[float, float]:
     return -float(coef[0]), float(np.sqrt(np.mean(resid * resid)))
 
 
-def _quantile_from_arrays(xs: np.ndarray, ws: np.ndarray) -> QuantileFunction:
-    u = np.cumsum(ws)
-    u[-1] = 1.0
-    pieces = []
-    z = 0.0
-    for x, zn in zip(xs, u):
-        pieces.append((z, float(zn), float(x), 0.0))
-        z = float(zn)
-    return QuantileFunction(tuple(pieces))
-
-
 def _distance_at(
     cfg: StudyConfig,
     exact: ExactSolution,
@@ -216,12 +226,8 @@ def _distance_at(
             raise ConfigError("L1 distance needs an atom-free exact solution")
         return l1_grid_vs_pieces(jmin, window, dx, ref.pieces)
     xs = np.arange(jmin, jmin + len(window)) * dx
-    if cfg.distance == "w1":  # skips the window's zero cells itself
-        return w1_grid_vs_quantile(xs, window, exact.quantile_fn(t))
-    keep = window > 0.0
-    p = float(_WP_RE.fullmatch(cfg.distance).group(1))
-    return wp_1d(_quantile_from_arrays(xs[keep], window[keep]),
-                 exact.quantile_fn(t), p)
+    return wp_1d(QuantileFunction.from_masses(xs, window), exact.quantile_fn(t),
+                 cfg.order)
 
 
 def run_resolution(cfg: StudyConfig, N: int) -> ResolutionRow:

@@ -76,10 +76,16 @@ class DiscreteMeasure:
     weights: dict[MultiIndex, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        pruned = {J: w for J, w in self.weights.items() if w != 0.0}
+        weights = self.weights
+        pruned = ({J: w for J, w in weights.items() if w != 0.0}
+                  if 0.0 in weights.values() else dict(weights))
         object.__setattr__(self, "weights", pruned)
-        for J, w in pruned.items():
-            if len(J) != self.grid.dims:
+        dims = self.grid.dims
+        # one pass each at C speed; a NaN minimum falls through to the loop
+        if set(map(len, pruned)) <= {dims} and min(pruned.values(), default=0.0) >= 0.0:
+            return
+        for J, w in pruned.items():  # name the first bad entry in dict order
+            if len(J) != dims:
                 raise DimensionError("multi-index dimension mismatch")
             if w < 0.0:
                 raise ValueError(f"negative weight {w} at {J}")
@@ -142,34 +148,74 @@ def uniform(lo: float, hi: float, height: float | None = None) -> AnalyticMeasur
     return AnalyticMeasure(dims=1, pieces=((lo, hi, height),))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantileFunction:
-    """Right-continuous nondecreasing function on [0,1).
+    """Right-continuous nondecreasing piecewise-affine function on [0, 1).
 
-    pieces: tuple of (z_lo, z_hi, value_at_z_lo, slope); the pieces partition
-    [0, 1).  Step functions have zero slopes; absolutely continuous reference
-    solutions contribute affine pieces.
+    Piece i covers [z[i], z[i+1]) with value v[i] + s[i] (u - z[i]) at u.
+    The breakpoints z (k+1 entries) are nondecreasing from 0 to 1, so empty
+    pieces are allowed; v and s have k entries.  Step functions have zero
+    slopes; absolutely continuous reference solutions contribute affine
+    pieces.
     """
 
-    pieces: tuple[tuple[float, float, float, float], ...]
+    z: np.ndarray
+    v: np.ndarray
+    s: np.ndarray
 
     def __post_init__(self):
-        if not self.pieces:
+        z = np.asarray(self.z, dtype=float)
+        v = np.asarray(self.v, dtype=float)
+        s = np.asarray(self.s, dtype=float)
+        if z.ndim != 1 or len(z) < 2:
             raise ValueError("quantile function needs at least one piece")
-        if abs(self.pieces[0][0]) > 1e-14 or abs(self.pieces[-1][1] - 1.0) > 1e-12:
+        if v.shape != (len(z) - 1,) or s.shape != v.shape:
+            raise ValueError("need one value and one slope per piece")
+        z0, z1 = float(z[0]), float(z[-1])
+        if abs(z0) > 1e-14 or abs(z1 - 1.0) > 1e-12:
             raise ValueError("pieces must cover [0, 1)")
+        if np.count_nonzero(z[1:] < z[:-1]):
+            raise ValueError("breakpoints must be nondecreasing")
+        if z0 != 0.0 or z1 != 1.0:
+            z = z.copy()
+            z[0], z[-1] = 0.0, 1.0
+        for name, arr in (("z", z), ("v", v), ("s", s)):
+            object.__setattr__(self, name, arr)
 
-    def __call__(self, z: float) -> float:
-        for z0, z1, v, s in self.pieces:
-            if z0 <= z < z1:
-                return v + s * (z - z0)
-        if z >= self.pieces[-1][1]:  # limit from the left at 1
-            z0, z1, v, s = self.pieces[-1]
-            return v + s * (z1 - z0)
-        raise ValueError(f"quantile argument {z} outside [0, 1)")
+    @classmethod
+    def from_pieces(cls, pieces) -> QuantileFunction:
+        """From (z_lo, z_hi, value_at_z_lo, slope) tuples that partition
+        [0, 1) in order."""
+        arr = np.array(pieces, dtype=float).reshape(-1, 4)
+        if len(arr) and (arr[1:, 0] != arr[:-1, 1]).any():
+            raise ValueError("pieces must be contiguous")
+        return cls(np.append(arr[:, 0], arr[-1:, 1]), arr[:, 2], arr[:, 3])
 
-    def breakpoints(self) -> list[float]:
-        return [p[0] for p in self.pieces] + [self.pieces[-1][1]]
+    @classmethod
+    def from_masses(cls, x, mass, slope=None) -> QuantileFunction:
+        """Consecutive pieces of masses mass >= 0, piece i starting at value
+        x[i] with slope slope[i] (a step function when slope is None).  A
+        zero mass gives an empty piece; the cumulative masses are clipped to
+        [0, 1] and the last one is set to 1."""
+        if len(mass) == 0:
+            raise ValueError("empty measure has no quantile function")
+        z = np.empty(len(mass) + 1)
+        z[0] = 0.0
+        np.add.accumulate(mass, out=z[1:])
+        if z[-2] > 1.0:
+            np.minimum(z, 1.0, out=z)
+        z[-1] = 1.0
+        return cls(z, x, np.zeros(len(mass)) if slope is None else slope)
+
+    def __call__(self, u: float) -> float:
+        if u < 0.0:
+            raise ValueError(f"quantile argument {u} outside [0, 1)")
+        u = min(u, 1.0)  # limit from the left at 1
+        i = min(int(np.searchsorted(self.z, u, side="right")) - 1, len(self.v) - 1)
+        return float(self.v[i] + self.s[i] * (u - self.z[i]))
+
+    def breakpoints(self) -> np.ndarray:
+        return self.z
 
 
 def project_initial(rho_ini: AnalyticMeasure, grid: CartesianGrid) -> DiscreteMeasure:
@@ -214,18 +260,7 @@ def quantile(mu: DiscreteMeasure) -> QuantileFunction:
     """Generalized inverse CDF of a 1D discrete measure as a step function."""
     if mu.grid.dims != 1:
         raise DimensionError("quantile functions are 1D only")
-    sup = mu.support()
-    if not sup:
-        raise ValueError("empty measure has no quantile function")
-    pieces = []
-    z = 0.0
-    last = len(sup) - 1
-    for idx, J in enumerate(sup):
-        w = mu.weights[J]
-        z_next = 1.0 if idx == last else z + w
-        pieces.append((z, z_next, mu.grid.node(J)[0], 0.0))
-        z = z_next
-    return QuantileFunction(tuple(pieces))
+    return QuantileFunction.from_masses(mu.positions()[:, 0], mu.weight_array())
 
 
 def measure_from_quantile(q: QuantileFunction, grid: CartesianGrid) -> DiscreteMeasure:
@@ -234,10 +269,10 @@ def measure_from_quantile(q: QuantileFunction, grid: CartesianGrid) -> DiscreteM
     Only valid for step quantiles whose values are grid nodes; coinciding
     support points merge their weights.
     """
+    if q.s.any():
+        raise ValueError("only step quantiles can be pushed back to a grid")
     weights: dict[MultiIndex, float] = {}
-    for z0, z1, v, s in q.pieces:
-        if s != 0.0:
-            raise ValueError("only step quantiles can be pushed back to a grid")
+    for z0, z1, v in zip(q.z[:-1].tolist(), q.z[1:].tolist(), q.v.tolist()):
         J = grid.cell_of((v,))
         weights[J] = weights.get(J, 0.0) + (z1 - z0)
     return DiscreteMeasure(grid, weights)

@@ -47,11 +47,15 @@ def _box_keys(idx: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]
 
 
 def _group(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows of states (k, d) in lexicographic order, the group of
-    each row, and the group sizes."""
+    """Distinct rows of states (k, d) in lexicographic order, the group
+    sizes, and the stable order of the rows by group, from one stable sort
+    of the rows' keys."""
     lo, shape, keys = _box_keys(states)
-    ukeys, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return np.column_stack(np.unravel_index(ukeys, shape)) + lo, inv, counts
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    counts = np.diff(np.r_[first, len(keys)])
+    return np.column_stack(np.unravel_index(keys[first], shape)) + lo, counts, order
 
 
 def _cells(lo: np.ndarray, box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -254,12 +258,14 @@ def increment_residual(
         cur = batch.paths[:, n, :]
         nxt = batch.paths[:, n + 1, :]
         incr = (nxt - cur) * dx
-        states, inv, visits = _group(cur)
+        states, visits, order = _group(cur)
         drift = node_velocity(field, n, states, grid) * grid.dt
+        inv = np.empty(len(order), dtype=np.intp)
+        inv[order] = np.repeat(np.arange(len(states)), visits)
         h = incr - drift[inv]
         habs = np.sqrt((h * h).sum(axis=1))
         # rows of h by state, path order kept within each state
-        by_state = h[np.argsort(inv, kind="stable")]
+        by_state = h[order]
         per_state: dict[MultiIndex, tuple[int, np.ndarray, float]] = {}
         skipped: dict[MultiIndex, int] = {}
         end = 0
@@ -288,7 +294,7 @@ def increment_residual(
 
 def empirical_law(batch: TrajectoryBatch, n: int) -> DiscreteMeasure:
     """Empirical distribution of the batch at step n."""
-    states, _, counts = _group(batch.paths[:, n, :])
+    states, counts, _ = _group(batch.paths[:, n, :])
     weights = dict(zip(map(tuple, states.tolist()), (counts / batch.count).tolist()))
     return DiscreteMeasure(batch.grid, weights)
 

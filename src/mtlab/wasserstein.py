@@ -1,10 +1,14 @@
 """Exact Wasserstein distances, L1/BV utilities, interpolation inequality.
 
-1D W_p is the L^p distance between quantile functions, integrated in closed
-form over merged breakpoints (the quantile difference is affine per piece,
-so the antiderivative of |u|^p is explicit for any real p >= 1).  In d >= 2
-the discrete-discrete distance is an exact optimal-transport linear program
-on the bipartite support graph.
+1D W_p is the L^p distance between quantile functions (Santambrogio 2015,
+2.2; Peyre & Cuturi 2019, 2.6).  `wp_1d` is the one kernel for it, for any
+finite p >= 1: quantile functions are held as arrays, the breakpoints of one
+side are inserted into the other's in O(m + k log m), and |u|^p of the
+affine difference is integrated in closed form on all merged intervals at
+once, in a form that does not cancel when the endpoint magnitudes are
+close.  `l1_grid_vs_pieces` is the one 1D L1 distance.  In d >= 2 the
+discrete-discrete distance is an exact optimal-transport linear program on
+the bipartite support graph.
 """
 
 from __future__ import annotations
@@ -24,66 +28,105 @@ from .measures import (
     quantile,
 )
 
-_MERGE_TOL = 1e-14
 _MAX_SUPPORT = 5000
+_MAX_L1_CELLS = 2 ** 22
+_TINY = np.finfo(float).tiny
 
 
 class ScaleError(RuntimeError):
     """Problem too large for the exact solver."""
 
 
-def _merged_breakpoints(mu_q: QuantileFunction, nu_q: QuantileFunction) -> np.ndarray:
-    zs = sorted(set(mu_q.breakpoints()) | set(nu_q.breakpoints()))
-    out = [zs[0]]
-    for z in zs[1:]:
-        if z - out[-1] > _MERGE_TOL:
-            out.append(z)
-    out[0], out[-1] = 0.0, 1.0
-    return np.array(out)
+def check_order(p: float) -> None:
+    """ValueError unless the order p of a W_p distance is finite and >= 1."""
+    if not (math.isfinite(p) and p >= 1.0):
+        raise ValueError(f"p must be finite and at least 1, got {p!r}")
 
 
-def _piece_at(q: QuantileFunction, z: float) -> tuple[float, float, float, float]:
-    for piece in q.pieces:
-        if piece[0] <= z < piece[1]:
-            return piece
-    return q.pieces[-1]
+def _insert_sorted(
+    base: np.ndarray, extra: np.ndarray, pos: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted base with sorted extra[i] inserted before base[pos[i]], in
+    O(len(base) + len(extra)).
+
+    Returns the merged array, the index of the last base entry at or before
+    each merged entry (-1 before base[0]), and the merged position of each
+    inserted entry.
+    """
+    at = pos + np.arange(len(extra))
+    count = np.zeros(len(base) + len(extra), dtype=np.intp)
+    count[at] = 1
+    idx = np.arange(len(count)) - count.cumsum()
+    merged = base[idx]
+    merged[at] = extra
+    return merged, idx, at
 
 
-def _abs_pow_integral(A: float, S: float, w: float, p: float) -> float:
-    """Integral of |A + S z|^p over [0, w]."""
-    if w <= 0.0:
-        return 0.0
-    if S == 0.0:
-        return abs(A) ** p * w
-    u0, u1 = A, A + S * w
+def _mean_abs_pow(u0: np.ndarray, u1: np.ndarray, p: float) -> np.ndarray:
+    """Mean of |u|^p over each segment on which u runs affinely from u0 to u1.
 
-    def G(u: float) -> float:
-        return math.copysign(abs(u) ** (p + 1.0), u) / ((p + 1.0) * S)
-
-    return G(u1) - G(u0)
+    For p = 2 it is (u0^2 + u0 u1 + u1^2) / 3, and for p = 1 it is
+    (|u0| + |u1|) / 2 less |u0 u1| / (|u0| + |u1|) when u crosses 0.  For
+    other p, with lo <= hi the endpoint magnitudes, it is (lo^(p+1) +
+    hi^(p+1)) / ((p+1)(lo + hi)) when u crosses 0 and (hi^(p+1) - lo^(p+1)) /
+    ((p+1)(hi - lo)) when it keeps its sign; the latter cancels as lo -> hi,
+    so it is written with log1p/expm1 of the relative gap (hi - lo)/hi.
+    """
+    if p == 2.0:
+        return (u0 * u0 + u0 * u1 + u1 * u1) / 3.0
+    a0, a1 = np.abs(u0), np.abs(u1)
+    if p == 1.0:
+        total = a0 + a1
+        # tiny floor: where both ends are 0 the product is 0 too
+        return 0.5 * total + np.minimum(u0 * u1, 0.0) / np.maximum(total, _TINY)
+    lo, hi = np.minimum(a0, a1), np.maximum(a0, a1)
+    q = p + 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # unselected 0/0
+        gap = (hi - lo) / hi
+        keep = hi ** p * np.where(gap > 0.0, -np.expm1(q * np.log1p(-gap)) / (q * gap),
+                                  1.0)
+        flip = (lo ** q + hi ** q) / (q * (lo + hi))
+    return np.where(u0 * u1 < 0.0, flip, keep)
 
 
 def wp_1d(mu_q: QuantileFunction, nu_q: QuantileFunction, p: float = 1.0) -> float:
-    """W_p between two 1D measures given by their quantile functions."""
-    if p < 1.0:
-        raise ValueError("p must be at least 1")
-    zs = _merged_breakpoints(mu_q, nu_q)
-    acc = []
-    for a, b in zip(zs[:-1], zs[1:]):
-        mid = 0.5 * (a + b)
-        z0m, _, vm, sm = _piece_at(mu_q, mid)
-        z0n, _, vn, sn = _piece_at(nu_q, mid)
-        A = (vm + sm * (a - z0m)) - (vn + sn * (a - z0n))
-        S = sm - sn
-        acc.append(_abs_pow_integral(A, S, b - a, p))
-    total = math.fsum(acc)
-    return total ** (1.0 / p)
+    """W_p between two 1D measures given by their quantile functions, for any
+    finite p >= 1.
+
+    W_p^p is the integral over [0, 1] of |F^-1 - G^-1|^p (Santambrogio,
+    Optimal Transport for Applied Mathematicians, 2015, 2.2).  The
+    breakpoints of the side with fewer pieces (k) are inserted into the
+    other side's (m), which costs O(m + k log m), and the insert gives each
+    merged interval its piece on both sides.  The difference is affine on
+    every interval; its p-th power is integrated in closed form.
+    """
+    check_order(p)
+    big, small = (mu_q, nu_q) if len(mu_q.v) >= len(nu_q.v) else (nu_q, mu_q)
+    if len(small.v) == 1:  # a Dirac or one density piece: nothing to insert
+        kb, ks, z = slice(None), 0, big.z
+    else:
+        # an inner breakpoint at 1 goes before the final 1, so that every
+        # merged interval lies in a piece of both sides
+        inner = small.z[1:-1]
+        z, kb, _ = _insert_sorted(big.z, inner,
+                                  big.z[:-1].searchsorted(inner, side="right"))
+        kb = kb[:-1]
+        ks = np.arange(len(kb)) - kb
+    a, w = z[:-1], z[1:] - z[:-1]
+    flat_b, flat_s = not np.count_nonzero(big.s), not np.count_nonzero(small.s)
+    A = ((big.v[kb] if flat_b else big.v[kb] + big.s[kb] * (a - big.z[:-1][kb]))
+         - (small.v[ks] if flat_s else
+            small.v[ks] + small.s[ks] * (a - small.z[:-1][ks])))
+    if flat_b and flat_s:  # two step functions
+        d = np.abs(A)
+        return float(np.dot(w, d if p == 1.0 else d ** p)) ** (1.0 / p)
+    S = (0.0 if flat_b else big.s[kb]) - (0.0 if flat_s else small.s[ks])
+    return float(np.dot(w, _mean_abs_pow(A, A + S * w, p))) ** (1.0 / p)
 
 
 def wp_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> float:
     """Exact W_p between discrete measures via the transport linear program."""
-    if p < 1.0:
-        raise ValueError("p must be at least 1")
+    check_order(p)
     xm, wm = mu.positions(), mu.weight_array()
     xn, wn = nu.positions(), nu.weight_array()
     m, n = len(wm), len(wn)
@@ -215,81 +258,49 @@ def l1_distance(
     mu: DiscreteMeasure, nu: AnalyticMeasure, grid: CartesianGrid
 ) -> float:
     """L1 distance between the cellwise-constant numerical density and an
-    absolutely continuous exact density (1D)."""
+    absolutely continuous exact density (1D).
+
+    The weights are laid out on the contiguous index window from the
+    smallest to the largest support index, so time and memory grow with that
+    span, not with the number of support nodes; a span over _MAX_L1_CELLS
+    cells raises ScaleError.
+    """
     if grid.dims != 1:
         raise ValueError("L1 comparison is 1D only")
     if nu.atoms:
         raise ValueError("L1 distance against atoms is undefined")
-    dx = grid.dx[0]
-    edges = set()
-    for (j,) in mu.support():
-        edges.add((j - 0.5) * dx)
-        edges.add((j + 0.5) * dx)
-    for lo, hi, _ in nu.pieces:
-        edges.add(lo)
-        edges.add(hi)
-    xs = np.array(sorted(edges))
-    acc = []
-    for a, b in zip(xs[:-1], xs[1:]):
-        mid = 0.5 * (a + b)
-        j = math.floor(mid / dx + 0.5)
-        num = mu.weights.get((j,), 0.0) / dx
-        exact = 0.0
-        for lo, hi, h in nu.pieces:
-            if lo <= mid < hi:
-                exact += h
-        acc.append(abs(num - exact) * (b - a))
-    return math.fsum(acc)
-
-
-# ---------------------------------------------------------------------------
-# vectorized fast paths used by the convergence harness (p = 1, 1D)
-
-def w1_grid_vs_quantile(
-    xs: np.ndarray, ws: np.ndarray, exact: QuantileFunction
-) -> float:
-    """W_1 between a discrete 1D measure (sorted nodes xs, weights ws) and a
-    piecewise-affine quantile function; vectorized over the support."""
-    keep = ws > 0.0
-    xs, ws = xs[keep], ws[keep]
-    u = np.cumsum(ws)
-    u[-1] = 1.0
-    q_z0 = np.array([p[0] for p in exact.pieces])
-    q_v = np.array([p[2] for p in exact.pieces])
-    q_s = np.array([p[3] for p in exact.pieces])
-    zb = np.unique(np.concatenate([[0.0], u, q_z0, [1.0]]))
-    zb = zb[(zb >= 0.0) & (zb <= 1.0)]
-    zl, zr = zb[:-1], zb[1:]
-    wdt = zr - zl
-    mid = 0.5 * (zl + zr)
-    atom = xs[np.minimum(np.searchsorted(u, mid, side="right"), len(xs) - 1)]
-    pidx = np.maximum(np.searchsorted(q_z0, mid, side="right") - 1, 0)
-    fl = q_v[pidx] + q_s[pidx] * (zl - q_z0[pidx])
-    fr = q_v[pidx] + q_s[pidx] * (zr - q_z0[pidx])
-    dl = atom - fl
-    dr = atom - fr
-    same = dl * dr >= 0.0
-    adl, adr = np.abs(dl), np.abs(dr)
-    area_same = 0.5 * (adl + adr) * wdt
-    denom = np.where(adl + adr > 0.0, adl + adr, 1.0)
-    area_cross = 0.5 * (adl * adl + adr * adr) / denom * wdt
-    return float(np.where(same, area_same, area_cross).sum())
+    js = [j for (j,) in mu.weights]
+    jmin = min(js, default=0)
+    span = max(js, default=0) - jmin + 1
+    if span > _MAX_L1_CELLS:
+        raise ScaleError(
+            f"support spans {span} cells; the L1 window holds at most "
+            f"{_MAX_L1_CELLS}"
+        )
+    window = np.zeros(span)
+    window[np.array(js, dtype=np.int64) - jmin] = list(mu.weights.values())
+    return l1_grid_vs_pieces(jmin, window, grid.dx[0], nu.pieces)
 
 
 def l1_grid_vs_pieces(
     jmin: int, ws: np.ndarray, dx: float, pieces
 ) -> float:
     """L1 distance between the cellwise density ws/dx on the contiguous index
-    window starting at jmin and a short list of (lo, hi, height) pieces."""
+    window starting at jmin and a short list of (lo, hi, height) pieces.
+
+    The piece edges are inserted into the cell edges; the exact density on a
+    merged interval is the sum of the height jumps at or before its left end.
+    """
     m = len(ws)
     cell_edges = (jmin - 0.5 + np.arange(m + 1)) * dx
-    extra = [e for piece in pieces for e in piece[:2]]
-    xs = np.unique(np.concatenate([cell_edges, extra]))
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    j = np.floor(mids / dx + 0.5).astype(np.int64) - jmin
-    inside = (j >= 0) & (j < m)
-    num = np.where(inside, ws[np.clip(j, 0, m - 1)] / dx, 0.0)
-    exact = np.zeros_like(mids)
-    for lo, hi, h in pieces:
-        exact += np.where((mids >= lo) & (mids < hi), h, 0.0)
-    return float(np.abs(num - exact) @ np.diff(xs))
+    lo, hi, h = np.array(pieces, dtype=float).reshape(-1, 3).T
+    # upper edges first, so adjacent pieces cancel exactly at a shared edge
+    edges = np.concatenate([hi, lo])
+    order = np.argsort(edges, kind="stable")
+    edges = edges[order]
+    xs, cell, at = _insert_sorted(cell_edges, edges, cell_edges.searchsorted(edges))
+    jumps = np.zeros(len(xs))
+    jumps[at] = np.concatenate([-h, h])[order]
+    exact = jumps.cumsum()[:-1]
+    num = np.concatenate([[0.0], ws / dx, [0.0]])[cell[:-1] + 1]
+    return float(np.dot(np.abs(num - exact), xs[1:] - xs[:-1]))

@@ -1,10 +1,17 @@
-"""Loop references for the array engine of the grid schemes and the chain.
+"""Loop references for the array engine of the grid schemes and the chain,
+and for the 1D distance kernels.
 
 `reference_step` is the per-node form of one scheme step: each support node
 calls the field on its own and every target sums its contributions with
 `math.fsum` in a dict.  The sampling references group paths by state with
 `np.unique(..., axis=0)` and read kernel rows one state at a time.  The
 array code in `mtlab.schemes` and `mtlab.stochastic` is tested against them.
+
+`reference_wp_1d` integrates interval by interval over the merged
+breakpoints (found by a linear scan per interval), `reference_w1_grid` is the
+earlier vectorized W_1 of a grid window against a quantile function, and
+`reference_l1_distance` sums cell by cell; `mtlab.wasserstein` is tested
+against them.
 """
 
 from __future__ import annotations
@@ -119,3 +126,95 @@ def reference_increments(batch, field, grid, min_visits):
 def reference_empirical_law(batch, n):
     states, counts = np.unique(batch.paths[:, n, :], axis=0, return_counts=True)
     return {tuple(int(v) for v in s): c / batch.count for s, c in zip(states, counts)}
+
+
+def _pieces(q):
+    """(z_lo, z_hi, value_at_z_lo, slope) tuples of a quantile function."""
+    return list(zip(q.z[:-1].tolist(), q.z[1:].tolist(), q.v.tolist(), q.s.tolist()))
+
+
+def _piece_at(pieces, z):
+    for piece in pieces:
+        if piece[0] <= z < piece[1]:
+            return piece
+    return pieces[-1]
+
+
+def _abs_pow_integral(A, S, w, p):
+    """Integral of |A + S z|^p over [0, w], as G(u1) - G(u0)."""
+    if w <= 0.0:
+        return 0.0
+    if S == 0.0:
+        return abs(A) ** p * w
+    u0, u1 = A, A + S * w
+
+    def G(u):
+        return math.copysign(abs(u) ** (p + 1.0), u) / ((p + 1.0) * S)
+
+    return G(u1) - G(u0)
+
+
+def reference_wp_1d(mu_q, nu_q, p=1.0):
+    """W_p over the merged breakpoints (those closer than 1e-14 merged), one
+    interval at a time, each side's piece found at the interval's midpoint."""
+    pm, pn = _pieces(mu_q), _pieces(nu_q)
+    zs = sorted({piece[0] for piece in pm + pn} | {1.0})
+    merged = [zs[0]]
+    for z in zs[1:]:
+        if z - merged[-1] > 1e-14:
+            merged.append(z)
+    merged[0], merged[-1] = 0.0, 1.0
+    acc = []
+    for a, b in zip(merged[:-1], merged[1:]):
+        mid = 0.5 * (a + b)
+        z0m, _, vm, sm = _piece_at(pm, mid)
+        z0n, _, vn, sn = _piece_at(pn, mid)
+        A = (vm + sm * (a - z0m)) - (vn + sn * (a - z0n))
+        acc.append(_abs_pow_integral(A, sm - sn, b - a, p))
+    return math.fsum(acc) ** (1.0 / p)
+
+
+def reference_w1_grid(xs, ws, exact):
+    """W_1 between weights ws at sorted nodes xs and a quantile function,
+    over np.unique of all breakpoints, pieces found by midpoint search."""
+    keep = ws > 0.0
+    xs, ws = xs[keep], ws[keep]
+    u = np.cumsum(ws)
+    u[-1] = 1.0
+    q_z0, q_v, q_s = exact.z[:-1], exact.v, exact.s
+    zb = np.unique(np.concatenate([[0.0], u, q_z0, [1.0]]))
+    zb = zb[(zb >= 0.0) & (zb <= 1.0)]
+    zl, zr = zb[:-1], zb[1:]
+    wdt = zr - zl
+    mid = 0.5 * (zl + zr)
+    atom = xs[np.minimum(np.searchsorted(u, mid, side="right"), len(xs) - 1)]
+    pidx = np.maximum(np.searchsorted(q_z0, mid, side="right") - 1, 0)
+    dl = atom - (q_v[pidx] + q_s[pidx] * (zl - q_z0[pidx]))
+    dr = atom - (q_v[pidx] + q_s[pidx] * (zr - q_z0[pidx]))
+    adl, adr = np.abs(dl), np.abs(dr)
+    area_same = 0.5 * (adl + adr) * wdt
+    denom = np.where(adl + adr > 0.0, adl + adr, 1.0)
+    area_cross = 0.5 * (adl * adl + adr * adr) / denom * wdt
+    return float(np.where(dl * dr >= 0.0, area_same, area_cross).sum())
+
+
+def reference_l1_distance(mu, nu, grid):
+    """L1 distance of the cellwise density of mu and the pieces of nu, one
+    merged interval at a time."""
+    dx = grid.dx[0]
+    edges = set()
+    for (j,) in mu.support():
+        edges.add((j - 0.5) * dx)
+        edges.add((j + 0.5) * dx)
+    for lo, hi, _ in nu.pieces:
+        edges.add(lo)
+        edges.add(hi)
+    xs = sorted(edges)
+    acc = []
+    for a, b in zip(xs[:-1], xs[1:]):
+        mid = 0.5 * (a + b)
+        j = math.floor(mid / dx + 0.5)
+        num = mu.weights.get((j,), 0.0) / dx
+        exact = sum(h for lo, hi, h in nu.pieces if lo <= mid < hi)
+        acc.append(abs(num - exact) * (b - a))
+    return math.fsum(acc)

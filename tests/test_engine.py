@@ -148,3 +148,16 @@ def test_path_dtype_follows_the_reach():
     small = DiscreteMeasure(g, {(-5,): 1.0})
     kernels = make_kernels(small, SchemeSpec("upwind"), f, 4)
     assert sample_paths(small, kernels, 10, seed=1).paths.dtype == np.int32
+
+
+def test_grouping_matches_unique_and_a_stable_sort_of_the_inverse():
+    from mtlab.stochastic import _group
+
+    rng = np.random.default_rng(9)
+    for states in (rng.integers(-3, 4, size=(500, 2)),
+                   np.array([[2 ** 61], [0], [2 ** 61], [5], [0]])):
+        got, counts, order = _group(states)
+        want, inv, want_counts = np.unique(states, axis=0, return_inverse=True,
+                                           return_counts=True)
+        assert np.array_equal(got, want) and np.array_equal(counts, want_counts)
+        assert np.array_equal(order, np.argsort(inv.reshape(-1), kind="stable"))

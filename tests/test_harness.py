@@ -2,7 +2,7 @@ import json
 import math
 import os
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -48,6 +48,30 @@ def test_config_validation():
     StudyConfig(distance="wp(2)")
     with pytest.raises(ConfigError):
         config_from_mapping({"bogus": 1})
+
+
+def test_distance_order_is_parsed_once_and_classified():
+    assert StudyConfig(distance="w1").order == 1.0
+    assert StudyConfig(distance="l1").order is None
+    assert StudyConfig(distance="wp(3.5)").order == 3.5
+    assert "order" not in asdict(StudyConfig(distance="wp(2)"))
+    for bad in ("wp(inf)", "wp(nan)", "wp(0.5)", "wp(abc)", "wp(-1)", "wp()"):
+        with pytest.raises(ConfigError, match="distance"):
+            StudyConfig(distance=bad)
+    # wp(1) runs the same kernel as w1
+    cfg = StudyConfig(example="example2", ladder=(50,), T=0.5)
+    assert (run_resolution(replace(cfg, distance="wp(1)"), 50).error
+            == run_resolution(cfg, 50).error)
+
+
+@pytest.mark.parametrize("distance", ["wp(inf)", "wp(nan)", "wp(0.5)", "wp(abc)"])
+def test_cli_config_with_a_bad_order_exits_2(tmp_path, capsys, distance):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"ladder": [50, 100], "distance": distance}))
+    assert cli.main(["convergence", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and "Traceback" not in captured.err
 
 
 def test_fit_order():
@@ -240,6 +264,10 @@ def test_cli_distance(tmp_path, capsys):
     b.write_text(serialize(DiscreteMeasure(g, {(2,): 1.0})))
     assert cli.main(["distance", str(a), str(b)]) == 0
     assert float(capsys.readouterr().out.strip()) == pytest.approx(1.0)
+    for bad in ("inf", "nan", "0.5"):
+        assert cli.main(["distance", str(a), str(b), "--p", bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "config error" in captured.err
 
 
 def test_cli_mc_compare(capsys):

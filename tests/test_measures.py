@@ -51,6 +51,19 @@ def test_measure_rejects_negative_and_prunes_zero():
     assert mu.support() == [(0,)]
 
 
+def test_measure_names_its_first_bad_entry_in_dict_order():
+    g = CartesianGrid(dx=(0.5,), dt=0.1)
+    with pytest.raises(ValueError, match=r"negative weight -0.5 at \(0,\)"):
+        DiscreteMeasure(g, {(0,): -0.5, (1, 2): 1.0})
+    with pytest.raises(DimensionError, match="multi-index dimension mismatch"):
+        DiscreteMeasure(g, {(1, 2): 1.0, (0,): -0.5})
+    # a NaN weight is not negative; the negative entry after it is named
+    with pytest.raises(ValueError, match=r"negative weight -1.0 at \(2,\)"):
+        DiscreteMeasure(g, {(0,): 0.5, (1,): math.nan, (2,): -1.0})
+    with pytest.raises(DimensionError):
+        DiscreteMeasure(CartesianGrid(dx=(0.5, 0.5), dt=0.1), {(0, 0): 0.5, (1,): 0.5})
+
+
 def test_project_atom_at_node():
     g = CartesianGrid(dx=(0.5,), dt=0.1)
     mu = project_initial(dirac((-0.5,)), g)

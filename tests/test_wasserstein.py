@@ -1,9 +1,19 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from mtlab.measures import CartesianGrid, DiscreteMeasure, dirac, quantile
+from mtlab.measures import (
+    AnalyticMeasure,
+    CartesianGrid,
+    DiscreteMeasure,
+    QuantileFunction,
+    dirac,
+    quantile,
+    uniform,
+)
 from mtlab.wasserstein import (
     PiecewiseConstantDensity,
     ScaleError,
@@ -13,11 +23,13 @@ from mtlab.wasserstein import (
     interpolation_check,
     l1_densities,
     l1_distance,
+    l1_grid_vs_pieces,
     w1_pair,
     wp_1d,
     wp_discrete,
 )
 from mtlab.flows import quantile_of_analytic
+from reference import reference_l1_distance, reference_w1_grid, reference_wp_1d
 
 
 GRID = CartesianGrid(dx=(0.5,), dt=0.25)
@@ -70,8 +82,11 @@ def test_wp_1d_identity_and_diracs():
         d = wp_1d(quantile(measure_1d({(0,): 1.0})),
                   quantile(measure_1d({(3,): 1.0})), p)
         assert d == pytest.approx(1.5, abs=1e-12)
-    with pytest.raises(ValueError):
-        wp_1d(quantile(mu), quantile(mu), 0.5)
+    for bad in (0.5, math.inf, math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            wp_1d(quantile(mu), quantile(mu), bad)
+        with pytest.raises(ValueError):
+            wp_discrete(mu, mu, bad)
 
 
 def test_wp_1d_binomial_vs_dirac():
@@ -153,7 +168,7 @@ def test_pushforward_contraction():
                     pieces.append((z, z1, x, 0.0))
                     z = z1
                 from mtlab.measures import QuantileFunction
-                return QuantileFunction(tuple(pieces))
+                return QuantileFunction.from_pieces(pieces)
 
             lhs = wp_1d(push(shift_x), push(shift_y), p)
             rhs = math.fsum(
@@ -202,3 +217,185 @@ def test_interpolation_identity_and_validation():
         interpolation_check(
             f, PiecewiseConstantDensity((0.0, 0.5, 1.0), (3.0, -1.0)), 1.0
         )
+
+
+ORDERS = (1.0, 1.5, 2.0, 3.5)
+
+
+def random_analytic_1d(rng):
+    """Atoms and disjoint density pieces between sorted random points, mass 1."""
+    pts = np.sort(rng.uniform(-3.0, 3.0, size=int(rng.integers(2, 7))))
+    atoms, pieces = [], []
+    for k, x in enumerate(pts):
+        if rng.random() < 0.4:
+            atoms.append(((float(x),), float(rng.uniform(0.1, 1.0))))
+        if k + 1 < len(pts) and rng.random() < 0.7:
+            pieces.append((float(x), float(pts[k + 1]), float(rng.uniform(0.1, 2.0))))
+    if not pieces:
+        pieces.append((float(pts[-1]), float(pts[-1]) + 1.0, 1.0))
+    total = math.fsum([m for _, m in atoms] + [h * (b - a) for a, b, h in pieces])
+    return AnalyticMeasure(
+        dims=1,
+        atoms=tuple((x, m / total) for x, m in atoms),
+        pieces=tuple((a, b, h / total) for a, b, h in pieces),
+    )
+
+
+def assert_close(got, want, rel):
+    assert abs(got - want) <= rel * abs(want), (got, want)
+
+
+def test_wp_1d_step_vs_step_matches_loop_reference():
+    rng = np.random.default_rng(81)
+    for _ in range(60):
+        mu_q = quantile(random_measure_1d(rng, max_atoms=12))
+        nu_q = quantile(random_measure_1d(rng, max_atoms=12))
+        for p in ORDERS:
+            assert_close(wp_1d(mu_q, nu_q, p), reference_wp_1d(mu_q, nu_q, p), 1e-12)
+
+
+def test_wp_1d_step_vs_affine_with_atoms_matches_loop_reference():
+    rng = np.random.default_rng(82)
+    for _ in range(60):
+        mu_q = quantile(random_measure_1d(rng, max_atoms=12))
+        nu_q = quantile_of_analytic(random_analytic_1d(rng))
+        assert np.any(nu_q.s > 0.0)
+        for p in ORDERS:
+            want = reference_wp_1d(mu_q, nu_q, p)
+            assert_close(wp_1d(mu_q, nu_q, p), want, 1e-12)
+            assert_close(wp_1d(nu_q, mu_q, p), want, 1e-12)
+
+
+def test_wp_1d_affine_vs_affine_matches_loop_reference():
+    rng = np.random.default_rng(83)
+    for _ in range(60):
+        mu_q = quantile_of_analytic(random_analytic_1d(rng))
+        nu_q = quantile_of_analytic(random_analytic_1d(rng))
+        for p in ORDERS:
+            assert_close(wp_1d(mu_q, nu_q, p), reference_wp_1d(mu_q, nu_q, p), 1e-12)
+
+
+def test_wp_1d_grid_window_matches_earlier_w1():
+    """A dense window with zero cells, against each exact solution."""
+    from mtlab.flows import exact_solution
+
+    rng = np.random.default_rng(84)
+    for name in ("example1", "example2", "example3"):
+        exact = exact_solution(name)
+        for t in (0.0, 0.3, 0.77, 1.0, 1.6):
+            ws = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 40)))
+            ws[rng.random(len(ws)) < 0.3] = 0.0
+            ws[-1] = 0.5
+            ws /= ws.sum()
+            jmin = int(rng.integers(-60, 20))
+            xs = np.arange(jmin, jmin + len(ws)) * 0.05
+            got = wp_1d(QuantileFunction.from_masses(xs, ws), exact.quantile_fn(t), 1.0)
+            assert_close(got, reference_w1_grid(xs, ws, exact.quantile_fn(t)), 1e-12)
+
+
+def test_wp_1d_breakpoints_that_coincide_or_sit_at_one():
+    """Shared breakpoints, empty pieces and an inner breakpoint at 1."""
+    step = QuantileFunction.from_pieces([(0.0, 0.25, -1.0, 0.0), (0.25, 0.25, 0.0, 0.0),
+                                         (0.25, 1.0, 2.0, 0.0)])
+    affine = QuantileFunction.from_pieces([(0.0, 0.25, -2.0, 4.0), (0.25, 1.0, 0.5, 1.0),
+                                           (1.0, 1.0, 3.0, 0.0)])
+    for p in ORDERS:
+        # |F^-1 - G^-1| is |1 - 4z| on [0, 1/4) and |1.5 - (z - 1/4)| after
+        want = reference_wp_1d(step, affine, p)
+        assert_close(wp_1d(step, affine, p), want, 1e-13)
+        assert_close(wp_1d(affine, step, p), want, 1e-13)
+
+
+def _uniform_gap_reference(slope_mu, slope_nu, p):
+    """W_p of two uniform quantile functions whose difference is 1 + S z,
+    S = slope_nu - slope_mu > 0, in exact or 60-digit arithmetic."""
+    S = Fraction(slope_nu) - Fraction(slope_mu)
+    if p == 1.0:
+        return float(1 + S / 2)
+    if p == 2.0:
+        return math.sqrt(Fraction(1) + S + S * S / 3)  # sqrt of an exact value
+    with localcontext() as ctx:
+        ctx.prec = 60
+        d = Decimal(S.numerator) / Decimal(S.denominator)
+        q = Decimal(p) + 1
+        integral = ((1 + d) ** q - 1) / (q * d)
+        return float(integral ** (1 / Decimal(p)))
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.5])
+def test_wp_1d_nearly_parallel_pieces_do_not_cancel(eps, p):
+    mu_q = quantile_of_analytic(uniform(0.0, 1.0))
+    nu_q = quantile_of_analytic(uniform(1.0, 2.0 + eps))
+    want = _uniform_gap_reference(mu_q.s[0], nu_q.s[0], p)
+    assert_close(wp_1d(mu_q, nu_q, p), want, 1e-14)
+    assert_close(wp_1d(nu_q, mu_q, p), want, 1e-14)
+
+
+def test_wp_1d_large_support_matches_dirac_sum():
+    rng = np.random.default_rng(85)
+    ws = rng.uniform(0.0, 1.0, 10_000)
+    ws /= ws.sum()
+    xs = np.sort(rng.uniform(-5.0, 5.0, 10_000))
+    q = QuantileFunction.from_masses(xs, ws)
+    y = QuantileFunction(np.array([0.0, 1.0]), np.array([0.3]), np.zeros(1))
+    for p in ORDERS:
+        want = math.fsum(ws * np.abs(xs - 0.3) ** p) ** (1.0 / p)
+        assert_close(wp_1d(q, y, p), want, 1e-12)
+
+
+def test_quantile_function_rejects_malformed_arrays():
+    z, v = np.array([0.0, 0.5, 1.0]), np.array([0.0, 1.0])
+    QuantileFunction(z, v, np.zeros(2))
+    for args in ((np.array([0.0]), v[:0], v[:0]),          # no piece
+                 (z, v[:1], np.zeros(1)),                 # one value for two pieces
+                 (np.array([0.1, 0.5, 1.0]), v, np.zeros(2)),  # starts above 0
+                 (np.array([0.0, 0.5, 0.9]), v, np.zeros(2)),  # stops short of 1
+                 (np.array([0.0, 0.7, 0.5, 1.0]), np.zeros(3), np.zeros(3))):
+        with pytest.raises(ValueError):
+            QuantileFunction(*args)
+    with pytest.raises(ValueError):
+        QuantileFunction.from_pieces([(0.0, 0.4, 0.0, 0.0), (0.5, 1.0, 1.0, 0.0)])
+
+
+def random_pieces(rng, dx):
+    """One to three (lo, hi, height) pieces; they may overlap, and some edges
+    fall on cell edges."""
+    out = []
+    for _ in range(int(rng.integers(1, 4))):
+        lo = float(rng.uniform(-2.0, 1.0))
+        if rng.random() < 0.3:
+            lo = (math.floor(lo / dx) + 0.5) * dx
+        out.append((lo, lo + float(rng.uniform(0.05, 1.5)), float(rng.uniform(0.1, 2.0))))
+    return tuple(out)
+
+
+def test_l1_matches_loop_reference():
+    rng = np.random.default_rng(86)
+    for _ in range(80):
+        dx = float(rng.choice([0.5, 0.125, 0.1]))
+        g = CartesianGrid(dx=(dx,), dt=dx / 2)
+        raw = {(int(j),): float(rng.uniform(0.05, 1.0))
+               for j in rng.integers(-25, 15, size=int(rng.integers(1, 12)))}
+        total = math.fsum(raw.values())
+        mu = DiscreteMeasure(g, {J: w / total for J, w in raw.items()})
+        nu = AnalyticMeasure(dims=1, pieces=random_pieces(rng, dx))
+        want = reference_l1_distance(mu, nu, g)
+        assert_close(l1_distance(mu, nu, g), want, 1e-12)
+        js = [j for (j,) in mu.weights]
+        window = np.zeros(max(js) - min(js) + 1)
+        for (j,), w in mu.weights.items():
+            window[j - min(js)] = w
+        assert_close(l1_grid_vs_pieces(min(js), window, dx, nu.pieces), want, 1e-12)
+
+
+def test_l1_far_apart_atoms_match_the_loop_or_raise_scale_error():
+    dx = 0.5
+    g = CartesianGrid(dx=(dx,), dt=dx / 2)
+    nu = AnalyticMeasure(dims=1, pieces=((-1.0, 1.0, 0.5),))
+    mu = DiscreteMeasure(g, {(0,): 0.5, (10 ** 5,): 0.5})
+    assert_close(l1_distance(mu, nu, g), reference_l1_distance(mu, nu, g), 1e-12)
+    # the window spans the index range, so a far atom is refused, not allocated
+    far = DiscreteMeasure(g, {(0,): 0.5, (10 ** 9,): 0.5})
+    with pytest.raises(ScaleError, match="spans"):
+        l1_distance(far, nu, g)
