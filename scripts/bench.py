@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
 """Time the distance layer of mtlab and the 1-D studies that use it.
 
-    python scripts/bench.py --label after
-    python scripts/bench.py --src ../parent/src --label before
+    python scripts/bench.py --out BENCH.json --label after
+    python scripts/bench.py --out BENCH.json --src ../parent/src --label before
 
 imports mtlab from --src (default: this checkout's src/), times each case
-K = 5 times and writes the medians, the single runs and the
-machine into --out (default BENCH_5.json) under the given label.  Labels
-already in the file are kept, so a run on the parent commit (`before`) and
-one on the change (`after`) end up side by side, with the speed-up of every
-case that both have.  Cases use only calls that both sides have:
+K = 5 times and writes the medians, the single runs and the machine into
+--out under the given label.  --out has no default, so that no earlier record
+is rewritten by accident.  Labels already in the file are kept, so a run on
+the parent commit (`before`) and one on the change (`after`) end up side by
+side, with the speed-up of every case that both have.  Cases use only calls that both sides have:
 `quantile`, `quantile_of_analytic`, `wp_1d`, `w1_pair`,
-`harness._distance_at` and `harness.run_study`.
+`harness._distance_at`, `harness.run_resolution` and `harness.run_study`.
 
 Cases:
   * `wp_1d` on support m = 500, 1000, 2000, 10^4: step vs step (p = 1 via
@@ -20,6 +20,9 @@ Cases:
   * one harness distance call per distance kind (w1 against a Dirac and
     against example2, l1, wp(2)), on windows the size of the last window at
     the finest resolution of the default ladder, timed over a loop of calls;
+  * `run_resolution` at N = 3200 for example2 W1 (a field constant in time)
+    and example3 W1 (a field that depends on t), which show the stepping
+    path of each kind of field apart;
   * `run_study` for each of the seven 1-D studies of the benchmark's
     ladder-1d workload.
 
@@ -49,6 +52,7 @@ STUDIES = [  # the ladder-1d workload of certbench/workloads.py
     ("example1-wp2", dict(example="example1", distance="wp(2)",
                           ladder=(100, 200, 400, 800))),
 ]
+RESOLUTIONS = ("example2-w1", "example3-w1")  # run_resolution at N = 3200
 SUPPORTS = (500, 1000, 2000, 10_000)
 CALLS = 500  # harness distance calls per timed run
 K = 5  # runs per case
@@ -140,6 +144,10 @@ def measure(mtlab) -> dict:
         cases[f"harness distance call {name} m={len(window)}"] = _time(
             lambda: harness._distance_at(cfg, exact, jmin, window, dx, 1.3),
             per=CALLS)
+    for name in RESOLUTIONS:
+        cfg = harness.StudyConfig(**dict(STUDIES)[name])
+        cases[f"run_resolution {name} N=3200"] = _time(
+            lambda: harness.run_resolution(cfg, 3200))
     for name, params in STUDIES:
         cfg = harness.StudyConfig(**params)
         cases[f"run_study {name}"] = _time(lambda: harness.run_study(cfg))
@@ -151,7 +159,8 @@ def main() -> int:
     ap.add_argument("--src", default=os.path.join(HERE, "..", "src"),
                     help="directory that holds the mtlab package")
     ap.add_argument("--label", default="after", help="name of this run in --out")
-    ap.add_argument("--out", default="BENCH_5.json")
+    ap.add_argument("--out", required=True,
+                    help="JSON record to add this run to")
     args = ap.parse_args()
 
     sys.path.insert(0, os.path.abspath(args.src))

@@ -6,7 +6,11 @@ maximum, and fits the order of convergence by least squares on the log-log
 cloud.  A 1D study keeps its weights as a dense window (first index, weight
 array) between steps and advances it with the scheme engine of
 `mtlab.schemes`, the same rows and apply routine as the sparse step, trimmed
-to its nonzero range after each step.
+to its nonzero range after each step.  The nodes a run can reach are known
+before it starts (the window grows by at most one cell per side per step), so
+for a field constant in time the transition rows are computed once per
+resolution on that whole range and each step takes the slice under its
+window; a field that depends on t gets one rows call per step on that slice.
 """
 
 from __future__ import annotations
@@ -105,8 +109,8 @@ class StudyConfig:
             SchemeSpec(self.scheme)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not (self.T > 0.0):
-            raise ConfigError("final time must be positive")
+        if not (0.0 < self.T < math.inf):
+            raise ConfigError("final time must be positive and finite")
         if not self.ladder:
             raise ConfigError("resolution ladder must be nonempty")
         if any(n <= 0 for n in self.ladder):
@@ -248,10 +252,18 @@ def run_resolution(cfg: StudyConfig, N: int) -> ResolutionRow:
     exact, dx = cfg.exact(), grid.dx[0]
     worst = _distance_at(cfg, exact, jmin, window, dx, 0.0)
     worst_env = worst / dx  # t=0 envelope denominator is dx
+    # a window grows by at most one cell per side per step, so every node the
+    # run can reach is in idx_all.  Rows are elementwise per node: a field
+    # constant in time gets them once, and each step reads its window's slice.
+    base = jmin - steps
+    idx_all = np.arange(base, jmin + len(window) + steps)[:, None]
+    rows = (transition_rows(spec, fld, 0, idx_all, grid)
+            if fld.time_regularity == "constant" else None)
     for n in range(steps):
-        idx = np.arange(jmin, jmin + len(window))[:, None]
-        probs = transition_rows(spec, fld, n, idx, grid)
-        _, box = apply_window(idx[0], window, probs)
+        a, m = jmin - base, len(window)
+        probs = (transition_rows(spec, fld, n, idx_all[a:a + m], grid)
+                 if rows is None else rows[:, a:a + m])
+        _, box = apply_window(idx_all[a], window, probs)
         nz = box.nonzero()[0]
         jmin, window = jmin - 1 + int(nz[0]), box[nz[0]:nz[-1] + 1]
         t = (n + 1) * grid.dt
@@ -348,10 +360,14 @@ class TriStudyConfig:
     prune: float = 1e-16  # drop weights below this; dropped mass is tracked
 
     def __post_init__(self):
+        if not (0.0 < self.T < math.inf):
+            raise ConfigError("final time must be positive and finite")
         if not self.ladder or any(
             b <= a for a, b in zip(self.ladder, self.ladder[1:])
         ):
             raise ConfigError("resolution ladder must be strictly increasing")
+        if any(n <= 0 for n in self.ladder):
+            raise ConfigError("resolutions must be positive")
         if not (0.0 < self.cfl <= 1.0):
             raise ConfigError("CFL ratio must lie in (0, 1]")
 
@@ -366,8 +382,18 @@ def run_tri_resolution(cfg: TriStudyConfig, N: int) -> ResolutionRow:
     report = check_cfl_tri(mesh, fld, dt)
     if not report.satisfied:
         raise CflError(report)
-    mu = NodeMeasure(mesh, {node_nearest(mesh, cfg.x0): 1.0})
+    start_node = node_nearest(mesh, cfg.x0)
     steps = step_count(cfg.T, dt)
+    # under the CFL bound a step moves mass by less than one cell per axis,
+    # so the support stays inside the mesh if the start node is at least
+    # `steps` cells from every edge
+    iy, ix = divmod(start_node, N + 1)
+    if min(ix, N - ix, iy, N - iy) < steps:
+        raise ConfigError(
+            f"N={N}: {steps} steps from {cfg.x0} can leave the domain "
+            f"{cfg.domain}; shorten T or widen the domain"
+        )
+    mu = NodeMeasure(mesh, {start_node: 1.0})
     speed = np.asarray(cfg.speed)
     x0 = np.asarray(cfg.x0)
     worst = w1_to_point(mu, x0)

@@ -41,6 +41,8 @@ def test_config_validation():
         StudyConfig(example="example9")
     with pytest.raises(ConfigError):
         StudyConfig(T=0.0)
+    with pytest.raises(ConfigError, match="final time"):
+        StudyConfig(T=math.inf)
     with pytest.raises(ConfigError):
         StudyConfig(distance="w3")
     with pytest.raises(ConfigError):
@@ -110,6 +112,43 @@ def test_window_step_matches_sparse_scheme():
             assert abs(dense[J] - w) <= 1e-14
 
 
+@pytest.mark.parametrize("example,scheme", [
+    ("example1", "upwind"), ("example1", "rusanov"),
+    ("example2", "upwind"), ("binomial", "upwind"),
+])
+def test_rows_of_a_constant_field_are_computed_once(monkeypatch, example, scheme):
+    # a field constant in time gets its rows once per resolution; re-declared
+    # "lipschitz", the same field is evaluated at every step, and the two
+    # paths must give the same numbers to the bit
+    builtin = StudyConfig.field
+    calls = []
+
+    def counted(regularity):
+        def field(self):
+            f = builtin(self)
+
+            def ev(t, x):
+                calls.append(t)
+                return f.eval_fn(t, x)
+
+            return replace(f, eval_fn=ev, time_regularity=regularity)
+        return field
+
+    cfg = StudyConfig(example=example, scheme=scheme, ladder=(100, 200))
+    rows = {}
+    for regularity in ("constant", "lipschitz"):
+        monkeypatch.setattr(StudyConfig, "field", counted(regularity))
+        for N in cfg.ladder:
+            calls.clear()
+            rows[regularity, N] = run_resolution(cfg, N)
+            steps = step_count(cfg.T, cfg.grid_for(N).dt)
+            assert len(calls) == (1 if regularity == "constant" else steps)
+    for N in cfg.ladder:
+        cached, stepped = rows["constant", N], rows["lipschitz", N]
+        assert cached.error == stepped.error
+        assert cached.envelope_c == stepped.envelope_c
+
+
 def test_error_decreases_with_resolution():
     cfg = StudyConfig(example="example1", ladder=(50, 100, 200))
     report = run_study(cfg)
@@ -155,6 +194,15 @@ def test_tri_config_validation():
         TriStudyConfig(ladder=(64, 32))
     with pytest.raises(ConfigError):
         TriStudyConfig(cfl=1.5)
+    for T in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="final time"):
+            TriStudyConfig(T=T)
+    with pytest.raises(ConfigError, match="positive"):
+        TriStudyConfig(ladder=(0, 8))
+    # the start node must be at least `steps` cells from every edge
+    cfg = TriStudyConfig(ladder=(16,), T=1.0, domain=((-2.0, -2.0), (2.0, 2.0)))
+    with pytest.raises(ConfigError, match="domain"):
+        run_tri_resolution(cfg, 16)
 
 
 def test_csv_format():
@@ -284,6 +332,21 @@ def test_cli_tri_run(capsys):
     code = cli.main(["tri-run", "--ladder", "16,32", "--T", "0.5"])
     assert code == 0
     assert "slope" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["tri-run", "--T", "-1"],
+    ["tri-run", "--T", "0"],
+    ["tri-run", "--T", "nan"],
+    ["tri-run", "--ladder", "0,8"],
+    ["tri-run", "--T", "3"],  # the support would reach the domain edge
+    ["convergence", "--T", "inf"],
+])
+def test_cli_bad_study_config_exits_2(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and "Traceback" not in captured.err
 
 
 def test_tri_report_echoes_its_config(tmp_path, capsys):

@@ -71,6 +71,23 @@ def test_osl_probe_signs():
         osl_probe(constant(1.0), 1, box, rng_seed=4)
 
 
+def test_osl_probe_matches_a_per_pair_reference():
+    # d = 2, with a field and a modulus that depend on t; then a one-point
+    # box, where every pair has x == y and is skipped
+    f = VelocityField(lambda t, x: -np.asarray(x) ** 3 + math.sin(t),
+                      a_inf=3.0, dims=2, alpha=lambda t: 0.1 * t)
+    box = (np.array([-1.0, -1.0]), np.array([1.0, 2.0]))
+    rng = np.random.default_rng(9)
+    xs = rng.uniform(box[0], box[1], size=(300, 2))
+    ys = rng.uniform(box[0], box[1], size=(300, 2))
+    ts = rng.uniform(0.0, 2.0, size=300)
+    worst = max(float((f(t, x) - f(t, y)) @ (x - y)) / float((x - y) @ (x - y))
+                - f.alpha(t) for t, x, y in zip(ts, xs, ys))
+    assert osl_probe(f, 300, box, rng_seed=9) == pytest.approx(worst, rel=1e-14)
+    point = (np.array([0.5, 0.5]), np.array([0.5, 0.5]))
+    assert osl_probe(f, 10, point, rng_seed=1) == -math.inf
+
+
 def test_builtin_fields_pass_osl_probe_at_scale():
     box = (np.array([-2.5]), np.array([2.5]))
     for f in (example1(), example2(), example3(), constant(1.0)):
