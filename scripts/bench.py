@@ -24,7 +24,16 @@ Cases:
     and example3 W1 (a field that depends on t), which show the stepping
     path of each kind of field apart;
   * `run_study` for each of the seven 1-D studies of the benchmark's
-    ladder-1d workload.
+    ladder-1d workload;
+  * end to end: `scripts/convergence_study.py` in a subprocess with
+    PYTHONPATH set to --src (five 1-D studies and the triangulated study).
+
+Besides the times, each label records the peak RSS of this process and of
+its children (`ru_maxrss` of RUSAGE_SELF and RUSAGE_CHILDREN), both read
+before the end-to-end case: `run_study` runs the coarser resolutions of a
+ladder in forked workers, whose memory RUSAGE_SELF does not count.  The
+machine record holds `affinity_cpus`, the CPUs this process may run on,
+which is the number of lanes a study may use.
 
 A case whose runs exceed BUDGET_S seconds in total stops early; its runs
 list says how many were made.
@@ -36,7 +45,9 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
+import subprocess
 import sys
 import time
 
@@ -65,6 +76,7 @@ def _machine() -> dict:
 
     return {
         "cores": os.cpu_count(),
+        "affinity_cpus": len(os.sched_getaffinity(0)),
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
@@ -112,6 +124,16 @@ def _harness_window(kind: str):
         ws = ws[nz[0]:nz[-1] + 1]
         return int(nz[0]) - 1280, ws / ws.sum(), dx
     return -1238, np.full(2475, 1.0 / 2475), dx
+
+
+def _peak_rss_mb(who: int) -> float:
+    return resource.getrusage(who).ru_maxrss / 1024.0
+
+
+def _end_to_end(src: str) -> None:
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    subprocess.run([sys.executable, os.path.join(HERE, "convergence_study.py")],
+                   env=env, check=True, stdout=subprocess.DEVNULL)
 
 
 def measure(mtlab) -> dict:
@@ -177,7 +199,14 @@ def main() -> int:
     payload["method"] = (f"median of k={K} runs per case, one process per "
                          "label, time.perf_counter; see scripts/bench.py")
     runs = payload.setdefault("runs", {})
-    runs[args.label] = {"cases": measure(mtlab)}
+    cases = measure(mtlab)
+    label = runs[args.label] = {
+        "cases": cases,
+        "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
+        "children_peak_rss_mb": _peak_rss_mb(resource.RUSAGE_CHILDREN),
+    }
+    cases["end to end scripts/convergence_study.py"] = _time(
+        lambda: _end_to_end(args.src))
     if "before" in runs and "after" in runs:
         before, after = runs["before"]["cases"], runs["after"]["cases"]
         payload["speedup"] = {name: before[name]["median_s"] / after[name]["median_s"]
@@ -185,9 +214,11 @@ def main() -> int:
     with open(args.out, "w") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
-    for name, case in runs[args.label]["cases"].items():
+    for name, case in cases.items():
         print(f"{name:<48} {case['median_s'] * 1e3:10.3f} ms "
               f"({len(case['runs_s'])} runs)")
+    print(f"peak RSS {label['peak_rss_mb']:.1f} MB, children "
+          f"{label['children_peak_rss_mb']:.1f} MB")
     return 0
 
 

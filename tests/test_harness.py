@@ -1,6 +1,8 @@
 import json
 import math
+import multiprocessing
 import os
+import threading
 import time
 from dataclasses import asdict, replace
 
@@ -155,6 +157,94 @@ def test_error_decreases_with_resolution():
     errors = [r.error for r in report.rows]
     assert errors[-1] < errors[0]
     assert report.slope == pytest.approx(0.5, abs=0.15)
+
+
+def _two_cpus(monkeypatch):
+    # two lanes on any machine, so that the worker lane is exercised
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def test_ladder_is_dealt_largest_first_by_n():
+    assert harness._deal((100, 200, 400, 800, 1600, 3200), 2) == [
+        (3200,), (100, 200, 400, 800, 1600)]
+    assert harness._deal((50, 100, 200), 2) == [(200,), (50, 100)]
+    assert harness._deal((10, 11, 12), 3) == [(12,), (11,), (10,)]
+    assert harness._deal((100, 200), 1) == [(100, 200)]
+
+
+@pytest.mark.parametrize("params", [
+    dict(example="example1"),
+    dict(example="example2", distance="w1"),
+    dict(example="example2", distance="l1"),
+    dict(example="example3"),
+    dict(example="binomial"),
+    dict(example="example1", scheme="rusanov"),
+])
+def test_lanes_give_the_serial_rows(monkeypatch, params):
+    _two_cpus(monkeypatch)
+    cfg = StudyConfig(ladder=(50, 100, 200), **params)
+    serial = [run_resolution(cfg, N) for N in cfg.ladder]
+    rows = run_study(cfg).rows
+    assert [(r.N, r.dx, r.error, r.envelope_c) for r in rows] == [
+        (r.N, r.dx, r.error, r.envelope_c) for r in serial]
+    assert not multiprocessing.active_children()
+
+
+@pytest.mark.parametrize("failing,message", [
+    ({200}, "N=200"),            # the calling lane (finest N) alone fails
+    ({100, 200}, "N=100"),       # both lanes fail; the worker's N is smaller
+    ({50, 100}, "N=50"),         # the worker lane stops at its first failure
+    ({100}, "N=100"),            # the worker lane alone fails
+])
+def test_lanes_raise_the_serial_error(monkeypatch, failing, message):
+    _two_cpus(monkeypatch)
+    builtin = harness.run_resolution
+
+    def run(cfg, N):
+        if N in failing:
+            raise ConfigError(f"N={N}")
+        return builtin(cfg, N)
+
+    monkeypatch.setattr(harness, "run_resolution", run)
+    with pytest.raises(ConfigError) as exc:
+        run_study(StudyConfig(example="example1", ladder=(50, 100, 200)))
+    assert str(exc.value) == message
+    assert not multiprocessing.active_children()
+    # a worker's traceback comes back as the cause; the calling lane's own
+    # traceback needs none
+    if message == "N=200":
+        assert exc.value.__cause__ is None
+    else:
+        assert isinstance(exc.value.__cause__, harness.LaneTraceback)
+        assert 'raise ConfigError(f"N={N}")' in str(exc.value.__cause__)
+
+
+@pytest.mark.parametrize("why", ["one CPU", "another thread"])
+def test_one_lane_runs_in_process(monkeypatch, why):
+    cfg = StudyConfig(example="example1", ladder=(50, 100, 200))
+    serial = [run_resolution(cfg, N) for N in cfg.ladder]
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    if why == "one CPU":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        rows = run_study(cfg).rows
+    else:
+        # a forked child would inherit the locks this thread may hold
+        _two_cpus(monkeypatch)
+        stop = threading.Event()
+        waiter = threading.Thread(target=stop.wait)
+        waiter.start()
+        try:
+            rows = run_study(cfg).rows
+        finally:
+            stop.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+    assert [(r.N, r.dx, r.error, r.envelope_c) for r in rows] == [
+        (r.N, r.dx, r.error, r.envelope_c) for r in serial]
 
 
 def test_emit_report_and_determinism(tmp_path):
