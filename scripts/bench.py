@@ -33,7 +33,7 @@ its children (`ru_maxrss` of RUSAGE_SELF and RUSAGE_CHILDREN), both read
 before the end-to-end case: `run_study` runs the coarser resolutions of a
 ladder in forked workers, whose memory RUSAGE_SELF does not count.  The
 machine record holds `affinity_cpus`, the CPUs this process may run on,
-which is the number of lanes a study may use.
+which is the number of processes a study may run in.
 
 A case whose runs exceed BUDGET_S seconds in total stops early; its runs
 list says how many were made.

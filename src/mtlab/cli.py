@@ -99,6 +99,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _numbers(text: str, kind: type, flag: str) -> tuple:
+    """A comma-separated option as a tuple of `kind`; ConfigError if a token
+    does not parse."""
+    try:
+        return tuple(kind(v) for v in text.split(","))
+    except ValueError:
+        raise ConfigError(
+            f"{flag} must be comma-separated {kind.__name__}s, not {text!r}"
+        ) from None
+
+
 def _study_config(args) -> StudyConfig:
     data = {}
     if getattr(args, "config", None):
@@ -111,7 +122,7 @@ def _study_config(args) -> StudyConfig:
         if val is not None:
             data[key] = val
     if getattr(args, "ladder", None):
-        data["ladder"] = [int(v) for v in args.ladder.split(",")]
+        data["ladder"] = _numbers(args.ladder, int, "--ladder")
     return config_from_mapping(data)
 
 
@@ -144,6 +155,8 @@ def _cmd_convergence(args) -> int:
 
 def _cmd_mc_compare(args) -> int:
     cfg = _study_config(args)
+    if args.paths < 1:
+        raise ConfigError(f"--paths must be positive, not {args.paths}")
     grid = cfg.grid_for(args.N)
     mu0 = project_initial(cfg.initial(), grid)
     steps = step_count(cfg.T, grid.dt)
@@ -171,7 +184,7 @@ def _cmd_mc_compare(args) -> int:
 def _cmd_tri_run(args) -> int:
     kwargs = {}
     if args.ladder:
-        kwargs["ladder"] = tuple(int(v) for v in args.ladder.split(","))
+        kwargs["ladder"] = _numbers(args.ladder, int, "--ladder")
     if args.T is not None:
         kwargs["T"] = args.T
     if args.cfl is not None:
@@ -200,8 +213,7 @@ def _cmd_distance(args) -> int:
 
 def _cmd_interp_check(args) -> int:
     worst = 0.0
-    for tok in args.eps.split(","):
-        eps = float(tok)
+    for eps in _numbers(args.eps, float, "--eps"):
         f = indicator(0.0, 1.0)
         g = indicator(eps, 1.0 + eps)
         ratio, ok = interpolation_check(f, g, args.bound)

@@ -13,20 +13,21 @@ resolution on that whole range and each step takes the slice under its
 window; a field that depends on t gets one rows call per step on that slice.
 
 The resolutions of a ladder are independent runs from the same datum, so
-`run_study` runs them in lanes, in parallel.  There is one lane per CPU in
-the process's affinity set, at most one per resolution, and a single lane
-where workers cannot be forked safely (no `fork` start method, or another
-thread running in the calling process).  Workers are forked, not spawned,
-because a spawned worker would import numpy and scipy afresh, which takes
-longer than a whole default study.  Resolutions are dealt to lanes
-largest first, each to the lane with the least total N so far (steps grow
-with N), so the default ladder splits as {3200} and {100, ..., 1600}.  The
-calling process runs the lane that holds the finest N, and each other lane
-runs in a forked worker that ends before `run_study` returns or raises.  The
-rows come back in ladder order and are the numbers the serial loop gives;
-a failing study raises the exception of its smallest failing N, the one the
-serial loop would raise.  `ResolutionRow.runtime_s` is the wall time of one
-resolution in the process that ran it, so the rows of a study may sum to
+`run_study` runs them in parallel: the calling process and a
+`ProcessPoolExecutor` of forked workers, one process per CPU in the process's
+affinity set and at most one per resolution.  It runs them serially, with no
+pool, where workers cannot be forked safely (no `fork` start method, or
+another thread running in the calling process).  Workers are forked, not
+spawned, because a spawned worker would import numpy and scipy afresh, which
+takes longer than a whole default study.  Every resolution but the finest is
+submitted to the pool, largest first (steps grow with N), and the pool's queue
+hands the next one to whichever worker is free; the calling process runs the
+finest N itself, so a trace of the calling process still sees one resolution
+of each study.  The rows are the numbers the serial loop gives, in ladder
+order; a failing study raises the exception of its smallest failing N, the one
+the serial loop would raise, with a worker's traceback chained as its cause.
+No worker outlives `run_study`.  `ResolutionRow.runtime_s` is the wall time of
+one resolution in the process that ran it, so the rows of a study may sum to
 more than the study's wall time.
 """
 
@@ -39,7 +40,6 @@ import os
 import re
 import threading
 import time
-import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
@@ -51,9 +51,7 @@ from .measures import (
     AnalyticMeasure,
     CartesianGrid,
     QuantileFunction,
-    dirac,
     project_initial,
-    uniform,
 )
 from .schemes import (
     CflError,
@@ -104,6 +102,27 @@ def _distance_order(distance: str) -> float | None:
     return p
 
 
+def _ladder_of(values) -> tuple[int, ...]:
+    """A resolution ladder as a tuple of ints; ConfigError unless it is a
+    nonempty, strictly increasing sequence of positive whole numbers."""
+    try:
+        ladder = tuple(values)
+        whole = [int(n) for n in ladder]
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(
+            f"resolution ladder must be a list of integers, not {values!r}"
+        ) from None
+    if any(isinstance(n, bool) or k != n for k, n in zip(whole, ladder)):
+        raise ConfigError(f"resolutions must be whole numbers, not {values!r}")
+    if not whole:
+        raise ConfigError("resolution ladder must be nonempty")
+    if any(n <= 0 for n in whole):
+        raise ConfigError("resolutions must be positive")
+    if any(b <= a for a, b in zip(whole, whole[1:])):
+        raise ConfigError("resolution ladder must be strictly increasing")
+    return tuple(whole)
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Everything a convergence study needs, in one validated record.
@@ -123,7 +142,17 @@ class StudyConfig:
     out: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "ladder", tuple(int(n) for n in self.ladder))
+        object.__setattr__(self, "ladder", _ladder_of(self.ladder))
+        try:
+            domain = tuple(float(v) for v in self.domain)
+        except (TypeError, ValueError, OverflowError):
+            domain = ()
+        if (len(domain) != 2 or not all(map(math.isfinite, domain))
+                or domain[1] <= domain[0]):
+            raise ConfigError(
+                f"domain must be a finite nonempty interval, not {self.domain!r}"
+            )
+        object.__setattr__(self, "domain", domain)
         if self.example not in EXAMPLES:
             raise ConfigError(f"unknown example {self.example!r}")
         try:
@@ -132,16 +161,13 @@ class StudyConfig:
             raise ConfigError(str(exc)) from exc
         if not (0.0 < self.T < math.inf):
             raise ConfigError("final time must be positive and finite")
-        if not self.ladder:
-            raise ConfigError("resolution ladder must be nonempty")
-        if any(n <= 0 for n in self.ladder):
-            raise ConfigError("resolutions must be positive")
-        if any(b <= a for a, b in zip(self.ladder, self.ladder[1:])):
-            raise ConfigError("resolution ladder must be strictly increasing")
         if not (0.0 < self.cfl):
             raise ConfigError("CFL ratio must be positive")
-        if self.domain[1] <= self.domain[0]:
-            raise ConfigError("domain must be a nonempty interval")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ConfigError(f"seed must be a nonnegative integer, not {self.seed!r}")
+        if not (self.out is None or isinstance(self.out, str)):
+            raise ConfigError(f"out must be a path, not {self.out!r}")
         object.__setattr__(self, "order", _distance_order(self.distance))
         # only the field bound is checked up front; scheme-specific CFL
         # (e.g. the doubled Rusanov coefficient bound) is checked at run time
@@ -155,12 +181,14 @@ class StudyConfig:
         return named_field(self.example)
 
     def initial(self) -> AnalyticMeasure:
-        return _initial_datum(self.example)
+        return self.exact().initial()
 
     def exact(self) -> ExactSolution:
         return exact_solution(self.example)
 
     def grid_for(self, N: int) -> CartesianGrid:
+        if N <= 0:
+            raise ConfigError(f"resolution N={N} must be positive")
         dx = (self.domain[1] - self.domain[0]) / N
         try:
             return CartesianGrid(dx=(dx,), dt=self.cfl * dx)
@@ -175,29 +203,14 @@ def step_count(T: float, dt: float) -> int:
     return int(math.floor(T / dt + 1e-9))
 
 
-def _initial_datum(example: str) -> AnalyticMeasure:
-    if example == "example1":
-        return dirac((-0.5,))
-    if example == "example2":
-        return uniform(-1.0, 1.0)
-    if example == "example3":
-        return uniform(-1.0, 0.0)
-    return dirac((0.0,))  # binomial
-
-
 def config_from_mapping(data: dict) -> StudyConfig:
     known = {"example", "scheme", "T", "ladder", "cfl", "distance",
              "domain", "seed", "out"}
     bad = set(data) - known
     if bad:
         raise ConfigError(f"unknown config keys: {sorted(bad)}")
-    kwargs = dict(data)
-    if "ladder" in kwargs:
-        kwargs["ladder"] = tuple(int(v) for v in kwargs["ladder"])
-    if "domain" in kwargs:
-        kwargs["domain"] = tuple(float(v) for v in kwargs["domain"])
     try:
-        return StudyConfig(**kwargs)
+        return StudyConfig(**data)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -296,74 +309,28 @@ def run_resolution(cfg: StudyConfig, N: int) -> ResolutionRow:
                          runtime_s=runtime, envelope_c=worst_env)
 
 
-def _lane_count(ladder: tuple[int, ...]) -> int:
-    """One lane per CPU the process may run on, at most one per resolution;
-    one lane where workers cannot be forked safely: no `fork` start method,
-    or another thread running, whose locks a forked child would inherit."""
+def _worker_count(ladder: tuple[int, ...]) -> int:
+    """Processes a study may run in: one per CPU the process may run on, at
+    most one per resolution; one where workers cannot be forked safely: no
+    `fork` start method, or another thread running, whose locks a forked
+    child would inherit."""
     if ("fork" not in multiprocessing.get_all_start_methods()
             or threading.active_count() > 1):
         return 1
     return min(len(os.sched_getaffinity(0)), len(ladder))
 
 
-def _deal(ladder: tuple[int, ...], lanes: int) -> list[tuple[int, ...]]:
-    """Deal the resolutions to `lanes` lanes, largest first, each to the lane
-    with the least total N so far (the first such lane on a tie).  Each lane
-    lists its resolutions in increasing N; the first lane holds the finest."""
-    load = [0] * lanes
-    dealt = [[] for _ in range(lanes)]
-    for N in sorted(ladder, reverse=True):
-        k = load.index(min(load))
-        dealt[k].append(N)
-        load[k] += N
-    return [tuple(sorted(ns)) for ns in dealt]
+def _resolution(cfg: StudyConfig, N: int) -> ResolutionRow:
+    """`run_resolution`, looked up by name in the worker that runs it, so
+    that a replaced module attribute runs there too: a pool pickles the
+    function it is handed by name, and a replacement defined in a function
+    cannot be pickled."""
+    return run_resolution(cfg, N)
 
 
-class LaneTraceback(Exception):
-    """The traceback of an exception raised in a forked lane, as text: the
-    traceback itself stays in the worker.  `run_study` chains it as the
-    cause of the exception it raises."""
-
-
-def _run_lane(cfg: StudyConfig, ns: tuple[int, ...]):
-    """Run the resolutions ns in order up to the first exception; returns the
-    rows made and (N, exception, formatted traceback) of the failure, or
-    None."""
-    rows = []
-    for N in ns:
-        try:
-            rows.append(run_resolution(cfg, N))
-        except Exception as exc:
-            return rows, (N, exc, traceback.format_exc())
-    return rows, None
-
-
-def run_study(cfg: StudyConfig) -> ConvergenceReport:
-    """Run every resolution of the ladder and fit the order.
-
-    The resolutions run in lanes (see the module docstring): the calling
-    process runs the lane with the finest N and forked workers run the rest.
-    The rows are in ladder order, and a failure raises the exception of the
-    smallest failing N, as the serial loop over the ladder would.
-    """
-    lanes = _deal(cfg.ladder, _lane_count(cfg.ladder))
-    if len(lanes) == 1:
-        results = [_run_lane(cfg, lanes[0])]
-    else:
-        with ProcessPoolExecutor(
-            len(lanes) - 1, mp_context=multiprocessing.get_context("fork")
-        ) as pool:
-            futures = [pool.submit(_run_lane, cfg, ns) for ns in lanes[1:]]
-            results = [_run_lane(cfg, lanes[0])]
-            results += [f.result() for f in futures]
-    failures = [failure for _, failure in results if failure is not None]
-    if failures:
-        _, exc, trace = min(failures, key=lambda failure: failure[0])
-        if exc.__traceback__ is None:  # unpickled from a worker
-            raise exc from LaneTraceback(trace)
-        raise exc
-    by_n = {r.N: r for lane_rows, _ in results for r in lane_rows}
-    rows = tuple(by_n[N] for N in cfg.ladder)
+def _fit_report(cfg: StudyConfig | TriStudyConfig,
+                rows: tuple[ResolutionRow, ...]) -> ConvergenceReport:
+    """The report of a study's rows; a one-entry ladder has no slope (nan)."""
     if len(rows) >= 2:
         slope, residual = fit_order(
             np.array([r.N for r in rows]), np.array([r.error for r in rows])
@@ -371,6 +338,31 @@ def run_study(cfg: StudyConfig) -> ConvergenceReport:
     else:
         slope, residual = math.nan, math.nan
     return ConvergenceReport(config=cfg, rows=rows, slope=slope, residual=residual)
+
+
+def run_study(cfg: StudyConfig) -> ConvergenceReport:
+    """Run every resolution of the ladder and fit the order.
+
+    Forked workers run the resolutions below the finest, largest first, while
+    the calling process runs the finest (see the module docstring).  The rows
+    are in ladder order, and a failure raises the exception of the smallest
+    failing N, as the serial loop over the ladder would: the futures are read
+    in ladder order after the finest N has run or raised, so a smaller N's
+    exception replaces the finest's.
+    """
+    processes = _worker_count(cfg.ladder)
+    if processes == 1:
+        return _fit_report(cfg, tuple(run_resolution(cfg, N) for N in cfg.ladder))
+    *coarser, finest = cfg.ladder
+    with ProcessPoolExecutor(
+        processes - 1, mp_context=multiprocessing.get_context("fork")
+    ) as pool:
+        futures = [pool.submit(_resolution, cfg, N) for N in reversed(coarser)]
+        try:
+            row = run_resolution(cfg, finest)
+        finally:
+            rows = tuple(f.result() for f in reversed(futures))
+    return _fit_report(cfg, rows + (row,))
 
 
 def theorem_envelope_check(report: ConvergenceReport) -> float:
@@ -449,12 +441,7 @@ class TriStudyConfig:
     def __post_init__(self):
         if not (0.0 < self.T < math.inf):
             raise ConfigError("final time must be positive and finite")
-        if not self.ladder or any(
-            b <= a for a, b in zip(self.ladder, self.ladder[1:])
-        ):
-            raise ConfigError("resolution ladder must be strictly increasing")
-        if any(n <= 0 for n in self.ladder):
-            raise ConfigError("resolutions must be positive")
+        object.__setattr__(self, "ladder", _ladder_of(self.ladder))
         if not (0.0 < self.cfl <= 1.0):
             raise ConfigError("CFL ratio must lie in (0, 1]")
 
@@ -506,14 +493,9 @@ def run_tri_resolution(cfg: TriStudyConfig, N: int) -> ResolutionRow:
 def run_tri_study(cfg: TriStudyConfig) -> ConvergenceReport:
     """Run the triangulated ladder serially and fit the order.
 
-    Unlike `run_study` it runs no lanes.  The default study takes about a
+    Unlike `run_study` it starts no workers.  The default study takes about a
     quarter of a second, most of it in building meshes, and a prototype that
     ran its coarser meshes in a forked worker made it slower, not faster
     (about 0.26 s to 0.29 s on two CPUs).
     """
-    rows = tuple(run_tri_resolution(cfg, N) for N in cfg.ladder)
-    slope, residual = fit_order(
-        np.array([r.N for r in rows]), np.array([r.error for r in rows])
-    )
-    return ConvergenceReport(config=cfg, rows=rows, slope=slope,
-                             residual=residual)
+    return _fit_report(cfg, tuple(run_tri_resolution(cfg, N) for N in cfg.ladder))

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from mtlab.harness import (
     step_count,
 )
 from mtlab import harness
-from mtlab.measures import project_initial
+from mtlab.measures import dirac, project_initial, uniform
 from mtlab.schemes import SchemeSpec, apply_window, transition_rows
 from mtlab import cli
 from reference import reference_step
@@ -68,10 +69,21 @@ def test_distance_order_is_parsed_once_and_classified():
             == run_resolution(cfg, 50).error)
 
 
-@pytest.mark.parametrize("distance", ["wp(inf)", "wp(nan)", "wp(0.5)", "wp(abc)"])
-def test_cli_config_with_a_bad_order_exits_2(tmp_path, capsys, distance):
+@pytest.mark.parametrize("mapping", [
+    pytest.param({"distance": d}, id=d)
+    for d in ("wp(inf)", "wp(nan)", "wp(0.5)", "wp(abc)")
+] + [
+    pytest.param({"ladder": 5}, id="ladder-not-a-list"),
+    pytest.param({"ladder": ["a"]}, id="ladder-not-numbers"),
+    pytest.param({"ladder": [50.7, 100]}, id="ladder-not-whole"),
+    pytest.param({"domain": [1]}, id="domain-one-end"),
+    pytest.param({"domain": [0, "x"]}, id="domain-not-numbers"),
+    pytest.param({"seed": "x"}, id="seed-not-an-integer"),
+    pytest.param({"out": 5}, id="out-not-a-path"),
+])
+def test_cli_config_with_a_bad_order_exits_2(tmp_path, capsys, mapping):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"ladder": [50, 100], "distance": distance}))
+    cfg_path.write_text(json.dumps({"ladder": [50, 100], **mapping}))
     assert cli.main(["convergence", "--config", str(cfg_path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -89,6 +101,18 @@ def test_fit_order():
     assert resid2 == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         fit_order(ns[:1], errs[:1])
+
+
+@pytest.mark.parametrize("example,datum", [
+    ("example1", dirac((-0.5,))), ("example2", uniform(-1.0, 1.0)),
+    ("example3", uniform(-1.0, 0.0)), ("binomial", dirac((0.0,))),
+])
+def test_initial_datum_is_the_exact_solution_at_zero(example, datum):
+    cfg = StudyConfig(example=example)
+    for N in (37, 51, 99, 100, 333, 3200):
+        grid = cfg.grid_for(N)
+        assert (project_initial(cfg.initial(), grid).weights
+                == project_initial(datum, grid).weights)
 
 
 def test_window_step_matches_sparse_scheme():
@@ -159,17 +183,23 @@ def test_error_decreases_with_resolution():
     assert report.slope == pytest.approx(0.5, abs=0.15)
 
 
-def _two_cpus(monkeypatch):
-    # two lanes on any machine, so that the worker lane is exercised
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+def _cpus(monkeypatch, count=2):
+    # `count` processes on any machine, so that the pool workers are exercised
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-def test_ladder_is_dealt_largest_first_by_n():
-    assert harness._deal((100, 200, 400, 800, 1600, 3200), 2) == [
-        (3200,), (100, 200, 400, 800, 1600)]
-    assert harness._deal((50, 100, 200), 2) == [(200,), (50, 100)]
-    assert harness._deal((10, 11, 12), 3) == [(12,), (11,), (10,)]
-    assert harness._deal((100, 200), 1) == [(100, 200)]
+def test_pool_is_handed_the_coarser_resolutions_largest_first(monkeypatch):
+    _cpus(monkeypatch)
+    submit, handed = ProcessPoolExecutor.submit, []
+
+    def recorded(pool, fn, cfg, N):
+        handed.append(N)
+        return submit(pool, fn, cfg, N)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recorded)
+    cfg = StudyConfig(example="example1", ladder=(25, 50, 100, 200))
+    assert [r.N for r in run_study(cfg).rows] == [25, 50, 100, 200]
+    assert handed == [100, 50, 25]
 
 
 @pytest.mark.parametrize("params", [
@@ -181,23 +211,24 @@ def test_ladder_is_dealt_largest_first_by_n():
     dict(example="example1", scheme="rusanov"),
 ])
 def test_lanes_give_the_serial_rows(monkeypatch, params):
-    _two_cpus(monkeypatch)
     cfg = StudyConfig(ladder=(50, 100, 200), **params)
     serial = [run_resolution(cfg, N) for N in cfg.ladder]
-    rows = run_study(cfg).rows
-    assert [(r.N, r.dx, r.error, r.envelope_c) for r in rows] == [
-        (r.N, r.dx, r.error, r.envelope_c) for r in serial]
-    assert not multiprocessing.active_children()
+    for cpus in (2, 3):  # one pool worker, then two
+        _cpus(monkeypatch, cpus)
+        rows = run_study(cfg).rows
+        assert [(r.N, r.dx, r.error, r.envelope_c) for r in rows] == [
+            (r.N, r.dx, r.error, r.envelope_c) for r in serial]
+        assert not multiprocessing.active_children()
 
 
 @pytest.mark.parametrize("failing,message", [
-    ({200}, "N=200"),            # the calling lane (finest N) alone fails
-    ({100, 200}, "N=100"),       # both lanes fail; the worker's N is smaller
-    ({50, 100}, "N=50"),         # the worker lane stops at its first failure
-    ({100}, "N=100"),            # the worker lane alone fails
+    ({200}, "N=200"),            # the calling process (finest N) alone fails
+    ({100, 200}, "N=100"),       # both fail; the worker's N is smaller
+    ({50, 100}, "N=50"),         # two worker resolutions fail
+    ({100}, "N=100"),            # one worker resolution alone fails
 ])
 def test_lanes_raise_the_serial_error(monkeypatch, failing, message):
-    _two_cpus(monkeypatch)
+    _cpus(monkeypatch)
     builtin = harness.run_resolution
 
     def run(cfg, N):
@@ -210,12 +241,11 @@ def test_lanes_raise_the_serial_error(monkeypatch, failing, message):
         run_study(StudyConfig(example="example1", ladder=(50, 100, 200)))
     assert str(exc.value) == message
     assert not multiprocessing.active_children()
-    # a worker's traceback comes back as the cause; the calling lane's own
-    # traceback needs none
+    # a worker's traceback comes back as the cause; the calling process's
+    # own traceback needs none
     if message == "N=200":
         assert exc.value.__cause__ is None
     else:
-        assert isinstance(exc.value.__cause__, harness.LaneTraceback)
         assert 'raise ConfigError(f"N={N}")' in str(exc.value.__cause__)
 
 
@@ -233,7 +263,7 @@ def test_one_lane_runs_in_process(monkeypatch, why):
         rows = run_study(cfg).rows
     else:
         # a forked child would inherit the locks this thread may hold
-        _two_cpus(monkeypatch)
+        _cpus(monkeypatch)
         stop = threading.Event()
         waiter = threading.Thread(target=stop.wait)
         waiter.start()
@@ -289,6 +319,8 @@ def test_tri_config_validation():
             TriStudyConfig(T=T)
     with pytest.raises(ConfigError, match="positive"):
         TriStudyConfig(ladder=(0, 8))
+    with pytest.raises(ConfigError, match="whole"):
+        TriStudyConfig(ladder=(16, 32.5))
     # the start node must be at least `steps` cells from every edge
     cfg = TriStudyConfig(ladder=(16,), T=1.0, domain=((-2.0, -2.0), (2.0, 2.0)))
     with pytest.raises(ConfigError, match="domain"):
@@ -366,6 +398,8 @@ def test_cli_run_classifies_a_bad_resolution(capsys):
     assert "config error" in capsys.readouterr().err
     with pytest.raises(ConfigError):
         StudyConfig().grid_for(3)
+    with pytest.raises(ConfigError, match="positive"):
+        StudyConfig().grid_for(0)
 
 
 def test_step_count_rule():
@@ -425,12 +459,33 @@ def test_cli_tri_run(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["convergence", "--example", "example1", "--ladder", "100"],
+    ["tri-run", "--ladder", "16", "--T", "0.5"],
+])
+def test_one_resolution_fits_no_slope(capsys, argv):
+    # both studies fit their report in one place: a one-entry ladder has rows
+    # but no slope, and is not an error
+    assert cli.main(argv) == 0
+    assert "slope nan (rms residual nan)" in capsys.readouterr().out
+    report = (run_study(StudyConfig(ladder=(100,))) if argv[0] == "convergence"
+              else run_tri_study(TriStudyConfig(ladder=(16,), T=0.5)))
+    assert len(report.rows) == 1
+    assert math.isnan(report.slope) and math.isnan(report.residual)
+
+
+@pytest.mark.parametrize("argv", [
     ["tri-run", "--T", "-1"],
     ["tri-run", "--T", "0"],
     ["tri-run", "--T", "nan"],
     ["tri-run", "--ladder", "0,8"],
     ["tri-run", "--T", "3"],  # the support would reach the domain edge
     ["convergence", "--T", "inf"],
+    ["convergence", "--ladder", "100,abc"],
+    ["convergence", "--ladder", "50.7,100"],
+    ["tri-run", "--ladder", "16,x"],
+    ["interp-check", "--eps", "abc"],
+    ["mc-compare", "--paths", "0"],
+    ["run", "--N", "0"],
 ])
 def test_cli_bad_study_config_exits_2(capsys, argv):
     assert cli.main(argv) == 2
