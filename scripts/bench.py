@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the distance layer of mtlab and the 1-D studies that use it.
+"""Time the distance and path-sampling layers of mtlab and the 1-D studies.
 
     python scripts/bench.py --out BENCH.json --label after
     python scripts/bench.py --out BENCH.json --src ../parent/src --label before
@@ -9,9 +9,11 @@ K = 5 times and writes the medians, the single runs and the machine into
 --out under the given label.  --out has no default, so that no earlier record
 is rewritten by accident.  Labels already in the file are kept, so a run on
 the parent commit (`before`) and one on the change (`after`) end up side by
-side, with the speed-up of every case that both have.  Cases use only calls that both sides have:
-`quantile`, `quantile_of_analytic`, `wp_1d`, `w1_pair`,
-`harness._distance_at`, `harness.run_resolution` and `harness.run_study`.
+side, with the speed-up of every case that both have.  Cases use only calls
+that both sides have: `quantile`, `quantile_of_analytic`, `wp_1d`, `w1_pair`,
+`harness._distance_at`, `harness.run_resolution`, `harness.run_study`, and
+`make_kernels`, `sample_paths`, `increment_residual` and `empirical_law` of
+`stochastic`.
 
 Cases:
   * `wp_1d` on support m = 500, 1000, 2000, 10^4: step vs step (p = 1 via
@@ -25,6 +27,11 @@ Cases:
     path of each kind of field apart;
   * `run_study` for each of the seven 1-D studies of the benchmark's
     ladder-1d workload;
+  * the Markov-chain layer at the sizes of the benchmark's sparse-chain-nd
+    chains (upwind d = 1 with 12 steps, Rusanov d = 2 with 8 steps, from a
+    Dirac under a product step field, grid dx = 1/16 at CFL 0.9):
+    `make_kernels`, then `sample_paths` of 10^5 paths, `increment_residual`
+    and `empirical_law` of the last step on that batch;
   * end to end: `scripts/convergence_study.py` in a subprocess with
     PYTHONPATH set to --src (five 1-D studies and the triangulated study).
 
@@ -68,6 +75,11 @@ SUPPORTS = (500, 1000, 2000, 10_000)
 CALLS = 500  # harness distance calls per timed run
 K = 5  # runs per case
 BUDGET_S = 20.0  # seconds after which a case stops repeating
+# the sparse-chain-nd chains of certbench/workloads.py: (kind, dims, steps),
+# with PATHS sampled paths and a per-state mean test from MIN_VISITS visits
+CHAINS = (("upwind", 1, 12), ("rusanov", 2, 8))
+PATHS = 100_000
+MIN_VISITS = 100
 
 
 def _machine() -> dict:
@@ -126,6 +138,26 @@ def _harness_window(kind: str):
     return -1238, np.full(2475, 1.0 / 2475), dx
 
 
+def _chain_case(mtlab, kind: str, dims: int):
+    """(mu0, spec, field) of a benchmark chain: a Dirac at the origin under
+    the product step field a_i(x) = f(x_i), one-signed for upwind (0.6 left
+    of 0, 0.4 right of it) and compressive for Rusanov (0.5, then -0.3), on
+    dx = 1/16 with dt at CFL 0.9 of the scheme's coefficient bound."""
+    import numpy as np
+
+    left, right = (0.6, 0.4) if kind == "upwind" else (0.5, -0.3)
+    a_inf = 0.8 * dims ** 0.5
+    coef = a_inf if kind == "upwind" else 2.0 * a_inf
+    dx = 1.0 / 16.0
+    grid = mtlab.measures.CartesianGrid(dx=(dx,) * dims,
+                                        dt=0.9 * dx / (coef * dims))
+    field = mtlab.velocity.VelocityField(
+        lambda t, x: np.where(x < 0.0, left, right), a_inf=a_inf, dims=dims,
+        name="bench-steps")
+    mu0 = mtlab.measures.DiscreteMeasure(grid, {(0,) * dims: 1.0})
+    return mu0, mtlab.schemes.SchemeSpec(kind), field
+
+
 def _peak_rss_mb(who: int) -> float:
     return resource.getrusage(who).ru_maxrss / 1024.0
 
@@ -173,6 +205,20 @@ def measure(mtlab) -> dict:
     for name, params in STUDIES:
         cfg = harness.StudyConfig(**params)
         cases[f"run_study {name}"] = _time(lambda: harness.run_study(cfg))
+    chain = mtlab.stochastic
+    for kind, dims, steps in CHAINS:
+        mu0, spec, field = _chain_case(mtlab, kind, dims)
+        tag = f"{kind} d={dims} steps={steps}"
+        cases[f"make_kernels {tag}"] = _time(
+            lambda: chain.make_kernels(mu0, spec, field, steps))
+        kernels = chain.make_kernels(mu0, spec, field, steps)
+        cases[f"sample_paths {tag} paths={PATHS}"] = _time(
+            lambda: chain.sample_paths(mu0, kernels, PATHS, seed=7))
+        batch = chain.sample_paths(mu0, kernels, PATHS, seed=7)
+        cases[f"increment_residual {tag} paths={PATHS}"] = _time(
+            lambda: chain.increment_residual(batch, field, mu0.grid, MIN_VISITS))
+        cases[f"empirical_law {tag} paths={PATHS}"] = _time(
+            lambda: chain.empirical_law(batch, steps))
     return cases
 
 
@@ -189,6 +235,9 @@ def main() -> int:
     import mtlab.flows
     import mtlab.harness
     import mtlab.measures
+    import mtlab.schemes
+    import mtlab.stochastic
+    import mtlab.velocity
     import mtlab.wasserstein
 
     payload = {}
@@ -215,7 +264,7 @@ def main() -> int:
         json.dump(payload, fh, indent=2)
         fh.write("\n")
     for name, case in cases.items():
-        print(f"{name:<48} {case['median_s'] * 1e3:10.3f} ms "
+        print(f"{name:<56} {case['median_s'] * 1e3:10.3f} ms "
               f"({len(case['runs_s'])} runs)")
     print(f"peak RSS {label['peak_rss_mb']:.1f} MB, children "
           f"{label['children_peak_rss_mb']:.1f} MB")

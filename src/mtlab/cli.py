@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -212,8 +213,11 @@ def _cmd_distance(args) -> int:
 
 
 def _cmd_interp_check(args) -> int:
+    shifts = _numbers(args.eps, float, "--eps")
+    if not all(map(math.isfinite, shifts)):
+        raise ConfigError(f"--eps must be finite shifts, not {args.eps!r}")
     worst = 0.0
-    for eps in _numbers(args.eps, float, "--eps"):
+    for eps in shifts:
         f = indicator(0.0, 1.0)
         g = indicator(eps, 1.0 + eps)
         ratio, ok = interpolation_check(f, g, args.bound)

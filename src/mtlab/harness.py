@@ -203,6 +203,16 @@ def step_count(T: float, dt: float) -> int:
     return int(math.floor(T / dt + 1e-9))
 
 
+def _run_steps(T: float, dt: float, N: int) -> int:
+    """step_count(T, dt) of the run at resolution N; ConfigError when it is
+    zero, since a run with no step measures only the projection error."""
+    steps = step_count(T, dt)
+    if steps == 0:
+        raise ConfigError(f"resolution N={N}: T={T!r} is shorter than one "
+                          f"step (dt={dt!r}); raise N or T")
+    return steps
+
+
 def config_from_mapping(data: dict) -> StudyConfig:
     known = {"example", "scheme", "T", "ladder", "cfl", "distance",
              "domain", "seed", "out"}
@@ -276,13 +286,13 @@ def run_resolution(cfg: StudyConfig, N: int) -> ResolutionRow:
     report = check_cfl(spec, fld, grid)
     if not report.satisfied:
         raise CflError(report)
+    steps = _run_steps(cfg.T, grid.dt, N)
     start = time.perf_counter()
     mu0 = project_initial(cfg.initial(), grid)
     _, idx, w = measure_arrays(mu0)
     jmin = int(idx.min())
     window = np.zeros(int(idx.max()) - jmin + 1)
     window[idx[:, 0] - jmin] = w
-    steps = step_count(cfg.T, grid.dt)
     exact, dx = cfg.exact(), grid.dx[0]
     worst = _distance_at(cfg, exact, jmin, window, dx, 0.0)
     worst_env = worst / dx  # t=0 envelope denominator is dx
@@ -457,7 +467,7 @@ def run_tri_resolution(cfg: TriStudyConfig, N: int) -> ResolutionRow:
     if not report.satisfied:
         raise CflError(report)
     start_node = node_nearest(mesh, cfg.x0)
-    steps = step_count(cfg.T, dt)
+    steps = _run_steps(cfg.T, dt, N)
     # under the CFL bound a step moves mass by less than one cell per axis,
     # so the support stays inside the mesh if the start node is at least
     # `steps` cells from every edge

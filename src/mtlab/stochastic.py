@@ -7,9 +7,18 @@ along them by the scheme's own apply routine (`schemes.apply_window`), so
 chain and scheme share one implementation of the step.
 
 Trajectories are sampled with a counter-based generator (Philox keyed by seed
-and step), so batches are reproducible and embarrassingly parallel.  Each
-path finds its kernel row by an integer key of its state, and paths are
-grouped by state through the same keys, taken in the states' bounding box.
+and step), so batches are reproducible and embarrassingly parallel.  Every
+per-path operation is one O(count) array pass over integer keys: a state's
+key is its C-order cell in a bounding box.
+  * A kernel holds a row table over the box of its sources (cell -> row, -1
+    where no source sits), so a path finds its row by one gather.  The table
+    is capped at `schemes._MAX_WINDOW_CELLS` cells, the cap of the window
+    that `push` fills (2d+1)-fold anyway; a wider box is a WindowError.
+  * Paths are grouped by state through their keys in the box of the states,
+    cast to the narrowest unsigned type that holds them, so numpy's stable
+    sort is a radix sort for boxes of up to 2^16 cells.
+  * A path's move is the number of cumulative row entries below its uniform
+    draw, summed slot by slot over the (slots, m) cumulative rows.
 """
 
 from __future__ import annotations
@@ -24,6 +33,7 @@ from .measures import CartesianGrid, DiscreteMeasure, MultiIndex
 from .schemes import (
     CflError,
     SchemeSpec,
+    _check_window,
     apply_window,
     bounding_box,
     check_cfl,
@@ -49,8 +59,10 @@ def _box_keys(idx: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]
 def _group(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows of states (k, d) in lexicographic order, the group
     sizes, and the stable order of the rows by group, from one stable sort
-    of the rows' keys."""
+    of the rows' keys.  The keys are cast to the narrowest unsigned type of
+    the box, on which numpy's stable sort is a radix sort up to 16 bits."""
     lo, shape, keys = _box_keys(states)
+    keys = keys.astype(np.min_scalar_type(math.prod(shape) - 1))
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
@@ -81,7 +93,12 @@ class TransitionKernel:
     distinct and in lexicographic order: probs[s, k] is the probability that
     source k makes move s of the fixed neighbor order (stay, +e_1, -e_1, ...,
     +e_d, -e_d; see `schemes.neighbor_moves`).  The order is part of the
-    reproducibility contract for sampling."""
+    reproducibility contract for sampling.
+
+    Construction builds a row table over the bounding box of the sources:
+    the C-order cell of each source holds its row, every other cell -1.
+    `locate` reads it in one gather.  The box is held to the step's window
+    cap (`schemes._MAX_WINDOW_CELLS`); a wider one raises WindowError."""
 
     n: int
     grid: CartesianGrid
@@ -93,18 +110,23 @@ class TransitionKernel:
         if np.any(np.diff(keys) <= 0):
             raise ValueError("kernel sources must be distinct and in "
                              "lexicographic order")
+        _check_window(shape)
+        table = np.full(math.prod(shape), -1, dtype=np.intp)
+        table[keys] = np.arange(len(keys))
         object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_shape", np.array(shape))
-        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "_shape", shape)
+        object.__setattr__(self, "_table", table)
 
     def locate(self, states: np.ndarray) -> np.ndarray:
-        """Row number of each state (k, d); KeyError names a state without
-        a row."""
+        """Row number of each state (k, d); KeyError names the first state
+        without a row."""
         rel = states - self._lo
-        inside = np.all((rel >= 0) & (rel < self._shape), axis=1)
-        keys = np.ravel_multi_index(tuple(rel.T), tuple(self._shape), mode="clip")
-        pos = np.minimum(np.searchsorted(self._keys, keys), len(self._keys) - 1)
-        found = inside & (self._keys[pos] == keys)
+        inside = np.ones(len(rel), dtype=bool)
+        # per-axis tests: numpy reduces over the rows of a narrow array slowly
+        for axis, size in zip(rel.T, self._shape):
+            inside &= (axis >= 0) & (axis < size)
+        pos = self._table[np.ravel_multi_index(tuple(rel.T), self._shape, mode="clip")]
+        found = inside & (pos >= 0)
         if not found.all():
             raise KeyError(tuple(int(v) for v in states[np.argmin(found)]))
         return pos
@@ -215,12 +237,15 @@ def sample_paths(
     paths = np.empty((count, steps + 1, mu0.grid.dims), dtype=dtype)
     paths[:, 0, :] = _initial_states(mu0, count, seed)
     for n, kernel in enumerate(kernels):
-        cdfs = np.cumsum(kernel.probs, axis=0).T.copy()
-        cdfs[:, -1] = 1.0
+        cdfs = np.cumsum(kernel.probs, axis=0)
         rows = kernel.locate(paths[:, n, :])
         rng = np.random.Generator(np.random.Philox(key=[seed, n + 1]))
         u = rng.random(count)
-        choice = (cdfs[rows] < u[:, None]).sum(axis=1)
+        # the move is the number of cumulative entries below u; the last
+        # slot's is taken as 1, above every u in [0, 1), so it never counts
+        choice = np.zeros(count, dtype=np.intp)
+        for cdf in cdfs[:-1]:
+            choice += cdf[rows] < u
         paths[:, n + 1, :] = paths[:, n, :] + moves[choice]
     return TrajectoryBatch(seed=seed, count=count, grid=mu0.grid, paths=paths)
 

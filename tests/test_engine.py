@@ -1,11 +1,14 @@
 """The array engine of the grid schemes and the chain against loop references."""
 
+import bisect
+
 import numpy as np
 import pytest
 
 from conftest import grid_for, random_measure, random_osl_field
 from mtlab.measures import CartesianGrid, DiscreteMeasure
 from mtlab.schemes import (
+    _MAX_WINDOW_CELLS,
     SchemeSpec,
     WindowError,
     apply_window,
@@ -14,6 +17,7 @@ from mtlab.schemes import (
     transition_rows,
 )
 from mtlab.stochastic import (
+    TransitionKernel,
     empirical_law,
     increment_residual,
     kernel_of,
@@ -103,6 +107,47 @@ def test_kernel_support_forms_agree():
         a.row((99, 99))
 
 
+def test_locate_reads_the_row_table_across_gaps_and_faces():
+    rng = np.random.default_rng(12)
+    f = random_osl_field(rng, 2)
+    g = grid_for(f, 2, safety=0.5)
+    mu = DiscreteMeasure(g, {(-4, -5): 1.0})
+    kernel = make_kernels(mu, SchemeSpec("rusanov"), f, 4)[-1]
+    sources = [tuple(J) for J in kernel.idx.tolist()]
+    have = set(sources)
+    lo, hi = kernel.idx.min(axis=0), kernel.idx.max(axis=0)
+    # negative coordinates, and gaps: the ball's box has empty corners
+    assert (hi < 0).all() and len(sources) < np.prod(hi - lo + 1)
+    # every cell of the box and of a ring beyond each face
+    cells = [(x, y) for x in range(lo[0] - 1, hi[0] + 2)
+             for y in range(lo[1] - 1, hi[1] + 2)]
+    present = [J for J in cells if J in have]
+    missing = [J for J in cells if J not in have]
+    assert len(present) == len(sources)
+    order = rng.permutation(len(present))
+    states = np.array(present)[order]
+    want = [bisect.bisect_left(sources, tuple(J)) for J in states.tolist()]
+    assert kernel.locate(states).tolist() == want
+    for J in missing:
+        with pytest.raises(KeyError) as err:
+            kernel.locate(np.array([present[0], J, present[1]]))
+        assert err.value.args[0] == J
+    with pytest.raises(KeyError) as err:
+        kernel.locate(np.array([present[0], missing[3], missing[0]]))
+    assert err.value.args[0] == missing[3]
+
+
+def test_kernel_box_above_the_window_cap_is_a_window_error():
+    g = CartesianGrid(dx=(0.5,), dt=0.25)
+    idx = np.array([[0], [2 ** 23]])
+    assert 2 ** 23 + 1 > _MAX_WINDOW_CELLS
+    probs = transition_rows(SchemeSpec("upwind"), constant(1.0), 0, idx, g)
+    with pytest.raises(WindowError):
+        TransitionKernel(0, g, idx, probs)
+    with pytest.raises(WindowError):
+        kernel_of(SchemeSpec("upwind"), constant(1.0), 0, idx, g)
+
+
 def _chain(rng, kind, dims, steps, points):
     f = random_osl_field(rng, dims)
     g = grid_for(f, dims, safety=0.5 if kind == "rusanov" else 1.0)
@@ -154,8 +199,15 @@ def test_grouping_matches_unique_and_a_stable_sort_of_the_inverse():
     from mtlab.stochastic import _group
 
     rng = np.random.default_rng(9)
-    for states in (rng.integers(-3, 4, size=(500, 2)),
-                   np.array([[2 ** 61], [0], [2 ** 61], [5], [0]])):
+    cases = {
+        np.uint8: rng.integers(-3, 4, size=(500, 2)),
+        np.uint16: rng.integers(-100, 100, size=(4000, 2)),
+        np.uint32: rng.integers(-2 ** 19, 2 ** 19, size=(3000, 1)),
+        np.uint64: np.array([[2 ** 61], [0], [2 ** 61], [5], [0]]),
+    }
+    for key_type, states in cases.items():
+        cells = int(np.prod(np.ptp(states, axis=0) + 1))
+        assert np.min_scalar_type(cells - 1) == key_type
         got, counts, order = _group(states)
         want, inv, want_counts = np.unique(states, axis=0, return_inverse=True,
                                            return_counts=True)

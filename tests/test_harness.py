@@ -484,6 +484,10 @@ def test_one_resolution_fits_no_slope(capsys, argv):
     ["convergence", "--ladder", "50.7,100"],
     ["tri-run", "--ladder", "16,x"],
     ["interp-check", "--eps", "abc"],
+    ["interp-check", "--eps", "nan"],
+    ["interp-check", "--eps", "0.5,inf"],
+    ["tri-run", "--ladder", "1,2"],  # no step at either resolution
+    ["convergence", "--T", "0.001", "--ladder", "100,200"],
     ["mc-compare", "--paths", "0"],
     ["run", "--N", "0"],
 ])
@@ -513,7 +517,8 @@ def test_tri_runtime_includes_mesh_building(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(harness, "structured_mesh", slow_build)
-    row = run_tri_resolution(TriStudyConfig(ladder=(8,), T=0.1), 8)
+    # T = 0.5 is one step at N = 8 (dt ~ 0.447); a run with no step is refused
+    row = run_tri_resolution(TriStudyConfig(ladder=(8,), T=0.5), 8)
     assert row.runtime_s >= 0.05
 
 
