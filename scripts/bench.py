@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the distance and path-sampling layers of mtlab and the 1-D studies.
+"""Time the distance, path-sampling and semi-Lagrangian layers of mtlab and
+its studies.
 
     python scripts/bench.py --out BENCH.json --label after
     python scripts/bench.py --out BENCH.json --src ../parent/src --label before
@@ -11,17 +12,20 @@ is rewritten by accident.  Labels already in the file are kept, so a run on
 the parent commit (`before`) and one on the change (`after`) end up side by
 side, with the speed-up of every case that both have.  Cases use only calls
 that both sides have: `quantile`, `quantile_of_analytic`, `wp_1d`, `w1_pair`,
-`harness._distance_at`, `harness.run_resolution`, `harness.run_study`, and
+`l1_grid_vs_pieces`, `QuantileFunction.from_masses`,
+`harness.run_resolution`, `harness.run_study`, `harness.run_tri_study`,
 `make_kernels`, `sample_paths`, `increment_residual` and `empirical_law` of
-`stochastic`.
+`stochastic`, and `structured_mesh`, `NodeMeasure` and `sl_run` of
+`simplex`.
 
 Cases:
   * `wp_1d` on support m = 500, 1000, 2000, 10^4: step vs step (p = 1 via
     `w1_pair`, which includes building both quantile functions, and p = 2 on
     built ones) and step vs the affine example2 solution at t = 0.7 (p = 1);
-  * one harness distance call per distance kind (w1 against a Dirac and
-    against example2, l1, wp(2)), on windows the size of the last window at
-    the finest resolution of the default ladder, timed over a loop of calls;
+  * one harness distance per distance kind (w1 against a Dirac and against
+    example2, l1, wp(2)), as the grid study measures it at a step, on
+    windows the size of the last window at the finest resolution of the
+    default ladder, timed over a loop of calls;
   * `run_resolution` at N = 3200 for example2 W1 (a field constant in time)
     and example3 W1 (a field that depends on t), which show the stepping
     path of each kind of field apart;
@@ -32,6 +36,10 @@ Cases:
     Dirac under a product step field, grid dx = 1/16 at CFL 0.9):
     `make_kernels`, then `sample_paths` of 10^5 paths, `increment_residual`
     and `empirical_law` of the last step on that batch;
+  * `run_tri_study` on the default `TriStudyConfig`, and a wide `sl_run`
+    the size of the benchmark's tri-sl run: 12 steps of a 40 x 40 block of
+    nodes on an 80 x 80 split-square mesh under a field that points towards
+    the block's centre lines;
   * end to end: `scripts/convergence_study.py` in a subprocess with
     PYTHONPATH set to --src (five 1-D studies and the triangulated study).
 
@@ -80,6 +88,9 @@ BUDGET_S = 20.0  # seconds after which a case stops repeating
 CHAINS = (("upwind", 1, 12), ("rusanov", 2, 8))
 PATHS = 100_000
 MIN_VISITS = 100
+# the wide sl_run of certbench's tri-sl workload: cells per side, half width
+# of the square, nodes per side of the datum, steps
+WIDE = (80, 5.0, 40, 12)
 
 
 def _machine() -> dict:
@@ -158,6 +169,40 @@ def _chain_case(mtlab, kind: str, dims: int):
     return mu0, mtlab.schemes.SchemeSpec(kind), field
 
 
+def _distance(mtlab, cfg, exact, jmin, window, dx, t):
+    """The grid study's distance at time t of the window (jmin, window)."""
+    import numpy as np
+
+    if cfg.distance == "l1":
+        return mtlab.wasserstein.l1_grid_vs_pieces(jmin, window, dx,
+                                                   exact.measure(t).pieces)
+    xs = np.arange(jmin, jmin + len(window)) * dx
+    return mtlab.wasserstein.wp_1d(
+        mtlab.measures.QuantileFunction.from_masses(xs, window),
+        exact.quantile_fn(t), cfg.order)
+
+
+def _wide_run(mtlab):
+    """(mu0, field, steps, dt) of the wide semi-Lagrangian run: uniform
+    weights on the centre block of nodes, each axis of the field 0.6 before
+    the block's centre line and -0.6 after it, at CFL 0.9."""
+    import numpy as np
+
+    cells, half, block, steps = WIDE
+    mesh = mtlab.simplex.structured_mesh((-half, -half), (half, half),
+                                         (cells, cells))
+    first = (cells - block) // 2 + 1
+    side = first + np.arange(block)
+    ids = (side[:, None] * (cells + 1) + side[None, :]).ravel()
+    centre = 0.5 * (mesh.nodes[ids[0]] + mesh.nodes[ids[-1]])
+    field = mtlab.velocity.VelocityField(
+        lambda t, x: np.where(x < centre, 0.6, -0.6), a_inf=1.0, dims=2,
+        name="bench-compressive")
+    mu0 = mtlab.simplex.NodeMeasure(
+        mesh, dict.fromkeys(ids.tolist(), 1.0 / len(ids)))
+    return mu0, field, steps, 0.9 * mesh.hbar
+
+
 def _peak_rss_mb(who: int) -> float:
     return resource.getrusage(who).ru_maxrss / 1024.0
 
@@ -196,7 +241,7 @@ def measure(mtlab) -> dict:
         exact = cfg.exact()
         jmin, window, dx = _harness_window(kind)
         cases[f"harness distance call {name} m={len(window)}"] = _time(
-            lambda: harness._distance_at(cfg, exact, jmin, window, dx, 1.3),
+            lambda: _distance(mtlab, cfg, exact, jmin, window, dx, 1.3),
             per=CALLS)
     for name in RESOLUTIONS:
         cfg = harness.StudyConfig(**dict(STUDIES)[name])
@@ -219,6 +264,13 @@ def measure(mtlab) -> dict:
             lambda: chain.increment_residual(batch, field, mu0.grid, MIN_VISITS))
         cases[f"empirical_law {tag} paths={PATHS}"] = _time(
             lambda: chain.empirical_law(batch, steps))
+    tri = harness.TriStudyConfig()
+    cases["run_tri_study default"] = _time(lambda: harness.run_tri_study(tri))
+    mu0, field, steps, dt = _wide_run(mtlab)
+    cells, _, block, _ = WIDE
+    cases[f"sl_run {cells}x{cells} mesh, {block}x{block} datum, "
+          f"{steps} steps"] = _time(
+        lambda: mtlab.simplex.sl_run(mu0, field, steps, dt))
     return cases
 
 
@@ -236,6 +288,7 @@ def main() -> int:
     import mtlab.harness
     import mtlab.measures
     import mtlab.schemes
+    import mtlab.simplex
     import mtlab.stochastic
     import mtlab.velocity
     import mtlab.wasserstein

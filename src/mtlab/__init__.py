@@ -71,7 +71,6 @@ from .harness import (
     fit_order,
     run_study,
     run_tri_study,
-    theorem_envelope_check,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

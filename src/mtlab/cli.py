@@ -17,12 +17,12 @@ from .harness import (
     ConfigError,
     StudyConfig,
     TriStudyConfig,
+    _run_steps,
     config_from_mapping,
     emit_report,
     report_csv,
     run_study,
     run_tri_study,
-    step_count,
 )
 from .measures import deserialize, project_initial, serialize
 from .schemes import CflError, SchemeSpec, run as run_scheme
@@ -131,7 +131,7 @@ def _cmd_run(args) -> int:
     cfg = _study_config(args)
     grid = cfg.grid_for(args.N)
     mu0 = project_initial(cfg.initial(), grid)
-    steps = step_count(cfg.T, grid.dt)
+    steps = _run_steps(cfg.T, grid.dt, args.N)
     history = run_scheme(mu0, SchemeSpec(cfg.scheme), cfg.field(), steps)
     text = serialize(history[-1])
     if cfg.out:
@@ -160,7 +160,7 @@ def _cmd_mc_compare(args) -> int:
         raise ConfigError(f"--paths must be positive, not {args.paths}")
     grid = cfg.grid_for(args.N)
     mu0 = project_initial(cfg.initial(), grid)
-    steps = step_count(cfg.T, grid.dt)
+    steps = _run_steps(cfg.T, grid.dt, args.N)
     kernels = make_kernels(mu0, SchemeSpec(cfg.scheme), cfg.field(), steps)
     batch = sample_paths(mu0, kernels, args.paths, cfg.seed)
     stats = increment_residual(batch, cfg.field(), grid)
@@ -214,8 +214,8 @@ def _cmd_distance(args) -> int:
 
 def _cmd_interp_check(args) -> int:
     shifts = _numbers(args.eps, float, "--eps")
-    if not all(map(math.isfinite, shifts)):
-        raise ConfigError(f"--eps must be finite shifts, not {args.eps!r}")
+    if not all(map(math.isfinite, shifts + (args.bound,))):
+        raise ConfigError(f"non-finite --eps {args.eps!r} or --bound {args.bound!r}")
     worst = 0.0
     for eps in shifts:
         f = indicator(0.0, 1.0)

@@ -3,17 +3,16 @@
 A study runs one scheme over a ladder of resolutions on a fixed box, measures
 the distance to the exact solution at every step, keeps the per-resolution
 maximum, and fits the order of convergence by least squares on the log-log
-cloud.  A 1D study keeps its weights as a dense window (first index, weight
-array) between steps and advances it with the scheme engine of
-`mtlab.schemes`, the same rows and apply routine as the sparse step, trimmed
-to its nonzero range after each step.  The nodes a run can reach are known
-before it starts (the window grows by at most one cell per side per step), so
-for a field constant in time the transition rows are computed once per
-resolution on that whole range and each step takes the slice under its
-window; a field that depends on t gets one rows call per step on that slice.
+cloud.  One loop, `run_resolution`, runs a resolution of either study with
+the stepper its config supplies.  A grid study advances a dense window (first
+index, weight array) with the scheme engine of `mtlab.schemes`, trimmed to its
+nonzero range after each step; for a field constant in time the transition
+rows are computed once, on every node the run can reach.  A triangulated study
+advances node ids and weights with `simplex.sl_push`, pruned under a fixed
+budget of dropped mass.
 
 The resolutions of a ladder are independent runs from the same datum, so
-`run_study` runs them in parallel: the calling process and a
+`run_study` (grid studies) runs them in parallel: the calling process and a
 `ProcessPoolExecutor` of forked workers, one process per CPU in the process's
 affinity set and at most one per resolution.  It runs them serially, with no
 pool, where workers cannot be forked safely (no `fork` start method, or
@@ -41,7 +40,7 @@ import re
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -62,18 +61,18 @@ from .schemes import (
     transition_rows,
 )
 from .simplex import (
-    NodeMeasure,
     check_cfl_tri,
     node_nearest,
-    sl_step,
+    sl_push,
     structured_mesh,
     w1_to_point,
 )
-from .velocity import VelocityField, named_field
+from .velocity import VelocityField, constant, named_field
 from .wasserstein import check_order, l1_grid_vs_pieces, wp_1d
 
 DEFAULT_LADDER = (100, 200, 400, 800, 1600, 3200)
 DEFAULT_DOMAIN = (-2.5, 2.5)
+_PRUNE_BUDGET = 1e-10  # largest mass a triangulated run may prune in all
 
 EXAMPLES = ("example1", "example2", "example3", "binomial")
 
@@ -195,6 +194,49 @@ class StudyConfig:
         except ValueError as exc:
             raise ConfigError(f"resolution N={N}: {exc}") from exc
 
+    def resolution(self, N: int):
+        """Stepper of resolution N on the window (first index, weights)."""
+        grid = self.grid_for(N)
+        spec = SchemeSpec(self.scheme)
+        fld = self.field()
+        report = check_cfl(spec, fld, grid)
+        if not report.satisfied:
+            raise CflError(report)
+        steps = _run_steps(self.T, grid.dt, N)
+        _, idx, w = measure_arrays(project_initial(self.initial(), grid))
+        jmin = int(idx.min())
+        window = np.zeros(int(idx.max()) - jmin + 1)
+        window[idx[:, 0] - jmin] = w
+        exact, dx = self.exact(), grid.dx[0]
+        # a window grows by at most one cell per side per step, so idx_all
+        # holds every node the run can reach; rows are elementwise per node
+        base = jmin - steps
+        idx_all = np.arange(base, jmin + len(window) + steps)[:, None]
+        rows = (transition_rows(spec, fld, 0, idx_all, grid)
+                if fld.time_regularity == "constant" else None)
+
+        def advance(n, state):
+            jmin, window = state
+            a, m = jmin - base, len(window)
+            probs = (transition_rows(spec, fld, n, idx_all[a:a + m], grid)
+                     if rows is None else rows[:, a:a + m])
+            _, box = apply_window(idx_all[a], window, probs)
+            nz = box.nonzero()[0]
+            return jmin - 1 + int(nz[0]), box[nz[0]:nz[-1] + 1]
+
+        def distance(t, state):
+            jmin, window = state
+            if self.order is None:
+                ref = exact.measure(t)
+                if ref.atoms:
+                    raise ConfigError("L1 distance needs an atom-free exact solution")
+                return l1_grid_vs_pieces(jmin, window, dx, ref.pieces)
+            xs = np.arange(jmin, jmin + len(window)) * dx
+            return wp_1d(QuantileFunction.from_masses(xs, window),
+                         exact.quantile_fn(t), self.order)
+
+        return steps, grid.dt, dx, (jmin, window), advance, distance
+
 
 def step_count(T: float, dt: float) -> int:
     """Number of steps of length dt in a run to time T: floor(T/dt), with a
@@ -260,62 +302,22 @@ def fit_order(ns: np.ndarray, errs: np.ndarray) -> tuple[float, float]:
     return -float(coef[0]), float(np.sqrt(np.mean(resid * resid)))
 
 
-def _distance_at(
-    cfg: StudyConfig,
-    exact: ExactSolution,
-    jmin: int,
-    window: np.ndarray,
-    dx: float,
-    t: float,
-) -> float:
-    if cfg.distance == "l1":
-        ref = exact.measure(t)
-        if ref.atoms:
-            raise ConfigError("L1 distance needs an atom-free exact solution")
-        return l1_grid_vs_pieces(jmin, window, dx, ref.pieces)
-    xs = np.arange(jmin, jmin + len(window)) * dx
-    return wp_1d(QuantileFunction.from_masses(xs, window), exact.quantile_fn(t),
-                 cfg.order)
-
-
-def run_resolution(cfg: StudyConfig, N: int) -> ResolutionRow:
-    """Run one ladder entry to T and report the max-over-steps error."""
-    grid = cfg.grid_for(N)
-    spec = SchemeSpec(cfg.scheme)
-    fld = cfg.field()
-    report = check_cfl(spec, fld, grid)
-    if not report.satisfied:
-        raise CflError(report)
-    steps = _run_steps(cfg.T, grid.dt, N)
+def run_resolution(cfg: StudyConfig | TriStudyConfig, N: int) -> ResolutionRow:
+    """Run one ladder entry to T and report the max-over-steps error, with
+    the stepper (steps, dt, h, state, advance(n, state), distance(t, state))
+    of `cfg.resolution(N)`; the runtime includes its set-up."""
     start = time.perf_counter()
-    mu0 = project_initial(cfg.initial(), grid)
-    _, idx, w = measure_arrays(mu0)
-    jmin = int(idx.min())
-    window = np.zeros(int(idx.max()) - jmin + 1)
-    window[idx[:, 0] - jmin] = w
-    exact, dx = cfg.exact(), grid.dx[0]
-    worst = _distance_at(cfg, exact, jmin, window, dx, 0.0)
-    worst_env = worst / dx  # t=0 envelope denominator is dx
-    # a window grows by at most one cell per side per step, so every node the
-    # run can reach is in idx_all.  Rows are elementwise per node: a field
-    # constant in time gets them once, and each step reads its window's slice.
-    base = jmin - steps
-    idx_all = np.arange(base, jmin + len(window) + steps)[:, None]
-    rows = (transition_rows(spec, fld, 0, idx_all, grid)
-            if fld.time_regularity == "constant" else None)
+    steps, dt, h, state, advance, distance = cfg.resolution(N)
+    worst = distance(0.0, state)
+    worst_env = worst / h  # t=0 envelope denominator is h
     for n in range(steps):
-        a, m = jmin - base, len(window)
-        probs = (transition_rows(spec, fld, n, idx_all[a:a + m], grid)
-                 if rows is None else rows[:, a:a + m])
-        _, box = apply_window(idx_all[a], window, probs)
-        nz = box.nonzero()[0]
-        jmin, window = jmin - 1 + int(nz[0]), box[nz[0]:nz[-1] + 1]
-        t = (n + 1) * grid.dt
-        e = _distance_at(cfg, exact, jmin, window, dx, t)
+        state = advance(n, state)
+        t = (n + 1) * dt
+        e = distance(t, state)
         worst = max(worst, e)
-        worst_env = max(worst_env, e / (math.sqrt(t * dx) + dx))
+        worst_env = max(worst_env, e / (math.sqrt(t * h) + h))
     runtime = time.perf_counter() - start
-    return ResolutionRow(N=N, dx=dx, error=worst,
+    return ResolutionRow(N=N, dx=h, error=worst,
                          runtime_s=runtime, envelope_c=worst_env)
 
 
@@ -375,11 +377,6 @@ def run_study(cfg: StudyConfig) -> ConvergenceReport:
     return _fit_report(cfg, rows + (row,))
 
 
-def theorem_envelope_check(report: ConvergenceReport) -> float:
-    """Smallest C with e^n <= C (sqrt(t^n dx) + dx) across the whole study."""
-    return max(r.envelope_c for r in report.rows)
-
-
 # ---------------------------------------------------------------------------
 # report emission
 
@@ -403,21 +400,26 @@ def report_csv(report: ConvergenceReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _finite(x: float) -> float | None:
+    """x, or None (JSON null) for the NaN and infinities RFC 8259 lacks."""
+    return x if math.isfinite(x) else None
+
+
 def report_json(report: ConvergenceReport) -> str:
     cfg = asdict(report.config)
     payload = {
         "version": __version__,
         "config": cfg,
-        "slope": report.slope,
-        "residual": report.residual,
-        "envelope_c": list(report.envelope_constants()),
+        "slope": _finite(report.slope),
+        "residual": _finite(report.residual),
+        "envelope_c": [_finite(c) for c in report.envelope_constants()],
         "rows": [
-            {"N": r.N, "dx": r.dx, "error": r.error}
+            {"N": r.N, "dx": r.dx, "error": _finite(r.error)}
             for r in report.rows
         ],
         "jump_convention": "fields take their right-side value at discontinuities",
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def emit_report(report: ConvergenceReport, path: str) -> tuple[str, str]:
@@ -455,57 +457,51 @@ class TriStudyConfig:
         if not (0.0 < self.cfl <= 1.0):
             raise ConfigError("CFL ratio must lie in (0, 1]")
 
+    def resolution(self, N: int):
+        """Stepper of resolution N on node ids (ascending) and weights."""
+        fld = constant(list(self.speed))
+        mesh = structured_mesh(self.domain[0], self.domain[1], (N, N))
+        dt = self.cfl * mesh.hbar / fld.a_inf
+        report = check_cfl_tri(mesh, fld, dt)
+        if not report.satisfied:
+            raise CflError(report)
+        start_node = node_nearest(mesh, self.x0)
+        steps = _run_steps(self.T, dt, N)
+        # under the CFL bound a step moves mass by less than one cell per
+        # axis, so the support stays inside the mesh if the start node is at
+        # least `steps` cells from every edge
+        iy, ix = divmod(start_node, N + 1)
+        if min(ix, N - ix, iy, N - iy) < steps:
+            raise ConfigError(
+                f"N={N}: {steps} steps from {self.x0} can leave the domain "
+                f"{self.domain}; shorten T or widen the domain"
+            )
+        speed, x0 = np.asarray(self.speed), np.asarray(self.x0)
+        dropped = 0.0
 
-def run_tri_resolution(cfg: TriStudyConfig, N: int) -> ResolutionRow:
-    from .velocity import constant
+        def advance(n, state):
+            nonlocal dropped
+            ids, w = sl_push(mesh, fld, n, dt, *state)
+            keep = w >= self.prune
+            dropped += math.fsum(w[~keep])
+            if dropped > _PRUNE_BUDGET:
+                raise RuntimeError(f"pruned mass {dropped:.3e} exceeds budget")
+            return ids[keep], w[keep]
 
-    fld = constant(list(cfg.speed))
-    start = time.perf_counter()
-    mesh = structured_mesh(cfg.domain[0], cfg.domain[1], (N, N))
-    dt = cfg.cfl * mesh.hbar / fld.a_inf
-    report = check_cfl_tri(mesh, fld, dt)
-    if not report.satisfied:
-        raise CflError(report)
-    start_node = node_nearest(mesh, cfg.x0)
-    steps = _run_steps(cfg.T, dt, N)
-    # under the CFL bound a step moves mass by less than one cell per axis,
-    # so the support stays inside the mesh if the start node is at least
-    # `steps` cells from every edge
-    iy, ix = divmod(start_node, N + 1)
-    if min(ix, N - ix, iy, N - iy) < steps:
-        raise ConfigError(
-            f"N={N}: {steps} steps from {cfg.x0} can leave the domain "
-            f"{cfg.domain}; shorten T or widen the domain"
-        )
-    mu = NodeMeasure(mesh, {start_node: 1.0})
-    speed = np.asarray(cfg.speed)
-    x0 = np.asarray(cfg.x0)
-    worst = w1_to_point(mu, x0)
-    dropped = 0.0
-    for n in range(steps):
-        mu = sl_step(mu, fld, n, dt)
-        if cfg.prune > 0.0:
-            kept = {i: w for i, w in mu.weights.items() if w >= cfg.prune}
-            if len(kept) != len(mu.weights):
-                dropped += math.fsum(
-                    w for i, w in sorted(mu.weights.items()) if i not in kept
-                )
-                mu = NodeMeasure(mu.mesh, kept)
-        worst = max(worst, w1_to_point(mu, x0 + (n + 1) * dt * speed))
-    if dropped > 1e-10:
-        raise RuntimeError(f"pruned mass {dropped:.3e} exceeds budget")
-    runtime = time.perf_counter() - start
-    h = (cfg.domain[1][0] - cfg.domain[0][0]) / N
-    return ResolutionRow(N=N, dx=h, error=worst, runtime_s=runtime,
-                         envelope_c=math.nan)
+        def distance(t, state):
+            ids, w = state
+            return w1_to_point(mesh.nodes[ids], w, x0 + t * speed)
+
+        h = (self.domain[1][0] - self.domain[0][0]) / N
+        return steps, dt, h, (np.array([start_node]), np.ones(1)), advance, distance
 
 
 def run_tri_study(cfg: TriStudyConfig) -> ConvergenceReport:
     """Run the triangulated ladder serially and fit the order.
 
-    Unlike `run_study` it starts no workers.  The default study takes about a
-    quarter of a second, most of it in building meshes, and a prototype that
+    Unlike `run_study` it starts no workers.  The default study takes a
+    fraction of a second, most of it in building meshes, and a prototype that
     ran its coarser meshes in a forked worker made it slower, not faster
     (about 0.26 s to 0.29 s on two CPUs).
     """
-    return _fit_report(cfg, tuple(run_tri_resolution(cfg, N) for N in cfg.ladder))
+    return _fit_report(cfg, tuple(run_resolution(cfg, N) for N in cfg.ladder))

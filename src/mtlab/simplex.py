@@ -12,6 +12,7 @@ support in a single batched pass (`_split`): one field evaluation on the
 support's node array, then barycentric coordinates against every triangle of
 every star at once.  Only points that leave their star go through the scalar
 `locate`, whose brute-force search is the fallback before a `MeshError`.
+`sl_push` steps `(ids, w)` node arrays; `sl_step` wraps it for a `NodeMeasure`.
 """
 
 from __future__ import annotations
@@ -168,7 +169,7 @@ def check_cfl_tri(mesh: TriMesh, field: VelocityField, dt: float) -> CflReport:
 
 
 def _split(
-    support: list[int],
+    support: list[int] | np.ndarray,
     mesh: TriMesh,
     field: VelocityField,
     n: int,
@@ -228,19 +229,24 @@ def _scatter(
     return nz, out[nz]
 
 
-def sl_step(mu: NodeMeasure, field: VelocityField, n: int, dt: float) -> NodeMeasure:
-    """One forward semi-Lagrangian step: advect node masses and split them
-    barycentrically onto the containing triangle's vertices.
-
-    Checks the CFL condition before the step, and after it that the mass
-    moved by no more than the rounding of the support's weights.
-    """
-    report = check_cfl_tri(mu.mesh, field, dt)
+def sl_push(mesh: TriMesh, field: VelocityField, n: int, dt: float,
+            ids: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One forward semi-Lagrangian step of the weights w on the node ids:
+    advect node masses and split them barycentrically onto the containing
+    triangle's vertices; returns the nonzero node ids (ascending) and their
+    weights.  Checks the CFL condition before the step, and after it that the
+    mass moved by no more than the rounding of the weights."""
+    report = check_cfl_tri(mesh, field, dt)
     if not report.satisfied:
         raise CflError(report)
+    return _scatter(*_split(ids, mesh, field, n, dt), w)
+
+
+def sl_step(mu: NodeMeasure, field: VelocityField, n: int, dt: float) -> NodeMeasure:
+    """`sl_push` on a node measure."""
     support = mu.support()
-    w = np.array([mu.weights[i] for i in support])
-    ids, weights = _scatter(*_split(support, mu.mesh, field, n, dt), w)
+    ids, weights = sl_push(mu.mesh, field, n, dt, np.array(support, dtype=np.int64),
+                           np.array([mu.weights[i] for i in support]))
     return NodeMeasure(mu.mesh, dict(zip(ids.tolist(), weights.tolist())))
 
 
@@ -326,12 +332,9 @@ def node_nearest(mesh: TriMesh, x: tuple[float, float]) -> int:
     return int(np.argmin(np.linalg.norm(mesh.nodes - np.asarray(x), axis=1)))
 
 
-def w1_to_point(mu: NodeMeasure, y: np.ndarray) -> float:
-    """Exact W_1 between a node measure and a Dirac at y."""
-    sup = mu.support()
-    dist = np.linalg.norm(mu.mesh.nodes[sup] - np.asarray(y), axis=1)
-    ws = np.array([mu.weights[i] for i in sup])
-    return float(dist @ ws)
+def w1_to_point(points: np.ndarray, w: np.ndarray, y: np.ndarray) -> float:
+    """Exact W_1 between the weights w on the points (m, 2) and a Dirac at y."""
+    return float(np.linalg.norm(points - np.asarray(y), axis=1) @ w)
 
 
 def parse_mesh(text: str) -> TriMesh:

@@ -12,6 +12,11 @@ breakpoints (found by a linear scan per interval), `reference_w1_grid` is the
 earlier vectorized W_1 of a grid window against a quantile function, and
 `reference_l1_distance` sums cell by cell; `mtlab.wasserstein` is tested
 against them.
+
+`reference_tri_error` is the triangulated study's resolution loop on node
+measures: a `sl_step` per step, the pruned weights dropped by a dict
+comprehension, and W_1 to the Dirac summed over a weight list rebuilt from
+the dict; the array stepper of `mtlab.harness` is tested against it.
 """
 
 from __future__ import annotations
@@ -20,7 +25,10 @@ import math
 
 import numpy as np
 
+from mtlab.harness import step_count
 from mtlab.measures import DiscreteMeasure
+from mtlab.simplex import NodeMeasure, node_nearest, sl_step, structured_mesh
+from mtlab.velocity import constant
 
 
 def reference_coefficients(spec, field, n, J, grid):
@@ -218,3 +226,34 @@ def reference_l1_distance(mu, nu, grid):
         exact = sum(h for lo, hi, h in nu.pieces if lo <= mid < hi)
         acc.append(abs(num - exact) * (b - a))
     return math.fsum(acc)
+
+
+def reference_tri_error(cfg, N):
+    """Max-over-steps W_1 error of the triangulated study `cfg` at
+    resolution N, stepping a `NodeMeasure`; RuntimeError when the pruned
+    mass exceeds 1e-10."""
+    def w1_to_point(mu, y):
+        sup = mu.support()
+        dist = np.linalg.norm(mu.mesh.nodes[sup] - np.asarray(y), axis=1)
+        return float(dist @ np.array([mu.weights[i] for i in sup]))
+
+    fld = constant(list(cfg.speed))
+    mesh = structured_mesh(cfg.domain[0], cfg.domain[1], (N, N))
+    dt = cfg.cfl * mesh.hbar / fld.a_inf
+    mu = NodeMeasure(mesh, {node_nearest(mesh, cfg.x0): 1.0})
+    speed, x0 = np.asarray(cfg.speed), np.asarray(cfg.x0)
+    worst = w1_to_point(mu, x0)
+    dropped = 0.0
+    for n in range(step_count(cfg.T, dt)):
+        mu = sl_step(mu, fld, n, dt)
+        if cfg.prune > 0.0:
+            kept = {i: w for i, w in mu.weights.items() if w >= cfg.prune}
+            if len(kept) != len(mu.weights):
+                dropped += math.fsum(
+                    w for i, w in sorted(mu.weights.items()) if i not in kept
+                )
+                mu = NodeMeasure(mu.mesh, kept)
+        worst = max(worst, w1_to_point(mu, x0 + (n + 1) * dt * speed))
+    if dropped > 1e-10:
+        raise RuntimeError(f"pruned mass {dropped:.3e} exceeds budget")
+    return worst

@@ -20,7 +20,6 @@ from mtlab.harness import (
     report_csv,
     run_resolution,
     run_study,
-    run_tri_resolution,
     run_tri_study,
     step_count,
 )
@@ -28,7 +27,7 @@ from mtlab import harness
 from mtlab.measures import dirac, project_initial, uniform
 from mtlab.schemes import SchemeSpec, apply_window, transition_rows
 from mtlab import cli
-from reference import reference_step
+from reference import reference_step, reference_tri_error
 
 
 def test_config_validation():
@@ -324,7 +323,23 @@ def test_tri_config_validation():
     # the start node must be at least `steps` cells from every edge
     cfg = TriStudyConfig(ladder=(16,), T=1.0, domain=((-2.0, -2.0), (2.0, 2.0)))
     with pytest.raises(ConfigError, match="domain"):
-        run_tri_resolution(cfg, 16)
+        run_resolution(cfg, 16)
+
+
+@pytest.mark.parametrize("prune", [1e-16, 1e-12])
+def test_tri_stepper_matches_node_measure_loop(prune):
+    # 1e-12 drops mass at both resolutions, under the 1e-10 budget
+    cfg = TriStudyConfig(ladder=(32, 64), T=1.0, prune=prune)
+    for N in cfg.ladder:
+        assert run_resolution(cfg, N).error.hex() == reference_tri_error(cfg, N).hex()
+
+
+def test_tri_pruned_mass_over_budget_raises():
+    cfg = TriStudyConfig(ladder=(32, 64), T=1.0, prune=1e-11)  # drops 5.7e-10
+    with pytest.raises(RuntimeError, match="pruned mass"):
+        reference_tri_error(cfg, 64)
+    with pytest.raises(RuntimeError, match="pruned mass"):
+        run_resolution(cfg, 64)
 
 
 def test_csv_format():
@@ -490,6 +505,10 @@ def test_one_resolution_fits_no_slope(capsys, argv):
     ["convergence", "--T", "0.001", "--ladder", "100,200"],
     ["mc-compare", "--paths", "0"],
     ["run", "--N", "0"],
+    ["interp-check", "--bound", "nan"],
+    ["interp-check", "--bound", "inf"],
+    ["run", "--T", "0.001", "--N", "100"],  # no step
+    ["mc-compare", "--T", "0.001"],
 ])
 def test_cli_bad_study_config_exits_2(capsys, argv):
     assert cli.main(argv) == 2
@@ -509,6 +528,26 @@ def test_tri_report_echoes_its_config(tmp_path, capsys):
             assert json.load(fh)["config"] == expected
 
 
+@pytest.mark.parametrize("argv", [
+    ["convergence", "--example", "example1", "--ladder", "50,100"],
+    ["convergence", "--example", "example1", "--ladder", "100"],
+    ["tri-run", "--ladder", "16,32", "--T", "0.5"],
+    ["tri-run", "--ladder", "16", "--T", "0.5"],
+])
+def test_report_json_is_strict_json(tmp_path, capsys, argv):
+    # RFC 8259 has no NaN or Infinity: a one-entry ladder's slope is null
+    def no_constant(name):
+        raise ValueError(f"non-finite number {name} in the report")
+
+    assert cli.main(argv + ["--out", str(tmp_path / "r")]) == 0
+    with open(tmp_path / "r.json") as fh:
+        data = json.loads(fh.read(), parse_constant=no_constant)
+    one_entry = len(data["rows"]) == 1
+    assert (data["slope"] is None) == one_entry
+    assert (data["residual"] is None) == one_entry
+    assert all(math.isfinite(c) for c in data["envelope_c"])
+
+
 def test_tri_runtime_includes_mesh_building(monkeypatch):
     build = harness.structured_mesh
 
@@ -518,7 +557,7 @@ def test_tri_runtime_includes_mesh_building(monkeypatch):
 
     monkeypatch.setattr(harness, "structured_mesh", slow_build)
     # T = 0.5 is one step at N = 8 (dt ~ 0.447); a run with no step is refused
-    row = run_tri_resolution(TriStudyConfig(ladder=(8,), T=0.5), 8)
+    row = run_resolution(TriStudyConfig(ladder=(8,), T=0.5), 8)
     assert row.runtime_s >= 0.05
 
 

@@ -382,7 +382,7 @@ def test_w1_to_point():
     mesh = unit_mesh(2)
     i = node_nearest(mesh, (0.0, 0.0))
     j = node_nearest(mesh, (1.0, 1.0))
-    mu = NodeMeasure(mesh, {i: 0.5, j: 0.5})
-    assert w1_to_point(mu, np.array([0.0, 0.0])) == pytest.approx(
-        0.5 * math.sqrt(2.0)
+    points = mesh.nodes[[i, j]]
+    assert w1_to_point(points, np.array([0.5, 0.5]), np.array([0.0, 0.0])) == (
+        pytest.approx(0.5 * math.sqrt(2.0))
     )
