@@ -40,6 +40,9 @@ Cases:
     the size of the benchmark's tri-sl run: 12 steps of a 40 x 40 block of
     nodes on an 80 x 80 split-square mesh under a field that points towards
     the block's centre lines;
+  * cold start: `import mtlab` in a fresh interpreter with PYTHONPATH set
+    to --src, timed from outside (interpreter start included), with the
+    child's own peak RSS (`VmHWM`) of each run;
   * end to end: `scripts/convergence_study.py` in a subprocess with
     PYTHONPATH set to --src (five 1-D studies and the triangulated study).
 
@@ -48,7 +51,9 @@ its children (`ru_maxrss` of RUSAGE_SELF and RUSAGE_CHILDREN), both read
 before the end-to-end case: `run_study` runs the coarser resolutions of a
 ladder in forked workers, whose memory RUSAGE_SELF does not count.  The
 machine record holds `affinity_cpus`, the CPUs this process may run on,
-which is the number of processes a study may run in.
+which is the number of processes a study may run in.  The script imports no
+scipy of its own (it reads scipy's version from the package metadata), so its
+peak RSS is that of the mtlab under test and the cases.
 
 A case whose runs exceed BUDGET_S seconds in total stops early; its runs
 list says how many were made.
@@ -57,7 +62,9 @@ list says how many were made.
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
+import math
 import os
 import platform
 import resource
@@ -91,11 +98,16 @@ MIN_VISITS = 100
 # the wide sl_run of certbench's tri-sl workload: cells per side, half width
 # of the square, nodes per side of the datum, steps
 WIDE = (80, 5.0, 40, 12)
+# the cold-start case: a fresh interpreter that imports mtlab and prints its
+# own peak RSS in kB.  Not ru_maxrss: Linux carries the forking process's
+# peak into the child's across exec, so the child would report this one's.
+COLD_IMPORT = ("import mtlab\n"
+               "with open('/proc/self/status') as fh:\n"
+               "    print(next(ln.split()[1] for ln in fh if ln.startswith('VmHWM:')))\n")
 
 
 def _machine() -> dict:
     import numpy
-    import scipy
 
     return {
         "cores": os.cpu_count(),
@@ -103,7 +115,7 @@ def _machine() -> dict:
         "machine": platform.machine(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "scipy": importlib.metadata.version("scipy"),
         "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
     }
 
@@ -138,11 +150,12 @@ def _harness_window(kind: str):
     (2560 steps): the upwind binomial spread of a Dirac, down to underflow,
     or a uniform spread over the 2475 cells example2 reaches."""
     import numpy as np
-    from scipy.stats import binom
 
     dx = 5.0 / 3200
     if kind == "dirac":
-        ws = binom.pmf(np.arange(2561), 2560, 0.5)
+        n = 2560
+        log_fact = np.array([math.lgamma(k + 1.0) for k in range(n + 1)])
+        ws = np.exp(log_fact[n] - log_fact - log_fact[::-1] + n * math.log(0.5))
         nz = np.flatnonzero(ws)
         ws = ws[nz[0]:nz[-1] + 1]
         return int(nz[0]) - 1280, ws / ws.sum(), dx
@@ -205,6 +218,14 @@ def _wide_run(mtlab):
 
 def _peak_rss_mb(who: int) -> float:
     return resource.getrusage(who).ru_maxrss / 1024.0
+
+
+def _cold_import(src: str, rss_mb: list) -> None:
+    """import mtlab in a fresh interpreter; append the child's own peak RSS."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, "-c", COLD_IMPORT], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    rss_mb.append(int(out) / 1024.0)
 
 
 def _end_to_end(src: str) -> None:
@@ -307,6 +328,9 @@ def main() -> int:
         "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
         "children_peak_rss_mb": _peak_rss_mb(resource.RUSAGE_CHILDREN),
     }
+    rss_mb = []
+    cold = cases["cold import mtlab"] = _time(lambda: _cold_import(args.src, rss_mb))
+    cold["child_peak_rss_mb"] = rss_mb
     cases["end to end scripts/convergence_study.py"] = _time(
         lambda: _end_to_end(args.src))
     if "before" in runs and "after" in runs:

@@ -17,8 +17,8 @@ The resolutions of a ladder are independent runs from the same datum, so
 affinity set and at most one per resolution.  It runs them serially, with no
 pool, where workers cannot be forked safely (no `fork` start method, or
 another thread running in the calling process).  Workers are forked, not
-spawned, because a spawned worker would import numpy and scipy afresh, which
-takes longer than a whole default study.  Every resolution but the finest is
+spawned, because a spawned worker would import numpy and mtlab afresh, which
+costs about as much as a default study.  Every resolution but the finest is
 submitted to the pool, largest first (steps grow with N), and the pool's queue
 hands the next one to whichever worker is free; the calling process runs the
 finest N itself, so a trace of the calling process still sees one resolution
@@ -101,6 +101,15 @@ def _distance_order(distance: str) -> float | None:
     return p
 
 
+def _finite_floats(values, n: int) -> tuple[float, ...] | None:
+    """values as a tuple of n finite floats, or None if it is not one."""
+    try:
+        out = tuple(float(v) for v in values)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return out if len(out) == n and all(map(math.isfinite, out)) else None
+
+
 def _ladder_of(values) -> tuple[int, ...]:
     """A resolution ladder as a tuple of ints; ConfigError unless it is a
     nonempty, strictly increasing sequence of positive whole numbers."""
@@ -142,12 +151,8 @@ class StudyConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "ladder", _ladder_of(self.ladder))
-        try:
-            domain = tuple(float(v) for v in self.domain)
-        except (TypeError, ValueError, OverflowError):
-            domain = ()
-        if (len(domain) != 2 or not all(map(math.isfinite, domain))
-                or domain[1] <= domain[0]):
+        domain = _finite_floats(self.domain, 2)
+        if domain is None or domain[1] <= domain[0]:
             raise ConfigError(
                 f"domain must be a finite nonempty interval, not {self.domain!r}"
             )
@@ -456,6 +461,26 @@ class TriStudyConfig:
         object.__setattr__(self, "ladder", _ladder_of(self.ladder))
         if not (0.0 < self.cfl <= 1.0):
             raise ConfigError("CFL ratio must lie in (0, 1]")
+        if not (0.0 <= self.prune < math.inf):
+            raise ConfigError(
+                f"prune threshold must be finite and nonnegative, not {self.prune!r}")
+        for name in ("speed", "x0"):
+            pair = _finite_floats(getattr(self, name), 2)
+            if pair is None:
+                raise ConfigError(
+                    f"{name} must be a pair of finite numbers, not {getattr(self, name)!r}")
+            object.__setattr__(self, name, pair)
+        if self.speed == (0.0, 0.0):
+            raise ConfigError("speed must be nonzero: it sets the time step")
+        try:
+            lo, hi = (_finite_floats(corner, 2) for corner in self.domain)
+        except (TypeError, ValueError):
+            lo = hi = None
+        if lo is None or hi is None or not (lo[0] < hi[0] and lo[1] < hi[1]):
+            raise ConfigError(
+                "domain must be two finite corners (lo, hi) with lo < hi on each "
+                f"axis, not {self.domain!r}")
+        object.__setattr__(self, "domain", (lo, hi))
 
     def resolution(self, N: int):
         """Stepper of resolution N on node ids (ascending) and weights."""

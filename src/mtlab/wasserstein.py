@@ -8,7 +8,9 @@ affine difference is integrated in closed form on all merged intervals at
 once, in a form that does not cancel when the endpoint magnitudes are
 close.  `l1_grid_vs_pieces` is the one 1D L1 distance.  In d >= 2 the
 discrete-discrete distance is an exact optimal-transport linear program on
-the bipartite support graph.
+the bipartite support graph (`wp_discrete`), solved with scipy's HiGHS; that
+function imports scipy on its first call, so importing mtlab and every 1D
+distance run without it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.optimize import linprog
 
 from .measures import (
     AnalyticMeasure,
@@ -126,6 +126,10 @@ def wp_1d(mu_q: QuantileFunction, nu_q: QuantileFunction, p: float = 1.0) -> flo
 
 def wp_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> float:
     """Exact W_p between discrete measures via the transport linear program."""
+    # imported here so that only the LP pays for scipy (0.5 s, 48 MB)
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     check_order(p)
     xm, wm = mu.positions(), mu.weight_array()
     xn, wn = nu.positions(), nu.weight_array()

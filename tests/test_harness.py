@@ -326,6 +326,39 @@ def test_tri_config_validation():
         run_resolution(cfg, 16)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("prune", math.nan, "prune"),
+    ("prune", math.inf, "prune"),
+    ("prune", -1e-16, "prune"),
+    ("speed", (math.nan, 0.5), "speed"),
+    ("speed", (1.0, math.inf), "speed"),
+    ("speed", (1.0,), "speed"),
+    ("speed", "fast", "speed"),
+    ("speed", (0.0, 0.0), "speed"),
+    ("x0", (math.nan, 0.0), "x0"),
+    ("x0", (0.0, 0.0, 0.0), "x0"),
+    ("x0", None, "x0"),
+    ("domain", ((-8.0, -8.0), (8.0, math.inf)), "domain"),
+    ("domain", ((-8.0, -8.0), (8.0, -8.0)), "domain"),
+    ("domain", ((8.0, -8.0), (-8.0, 8.0)), "domain"),
+    ("domain", ((-8.0, -8.0),), "domain"),
+    ("domain", ((-8.0, -8.0), (8.0,)), "domain"),
+    ("domain", (-8.0, 8.0), "domain"),
+    ("domain", None, "domain"),
+])
+def test_tri_config_rejects_bad_field(field, value, match):
+    with pytest.raises(ConfigError, match=match):
+        TriStudyConfig(**{field: value})
+
+
+def test_tri_config_normalizes_pairs_to_floats():
+    cfg = TriStudyConfig(speed=[1, 0], x0=[0, 0], domain=[[-8, -8], [8, 8]],
+                         prune=0)
+    assert cfg.speed == (1.0, 0.0) and cfg.x0 == (0.0, 0.0)
+    assert cfg.domain == ((-8.0, -8.0), (8.0, 8.0))
+    assert all(type(v) is float for v in cfg.speed + cfg.x0 + sum(cfg.domain, ()))
+
+
 @pytest.mark.parametrize("prune", [1e-16, 1e-12])
 def test_tri_stepper_matches_node_measure_loop(prune):
     # 1e-12 drops mass at both resolutions, under the 1e-10 budget

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -123,6 +127,45 @@ def test_wp_discrete_2d_split():
     nu = DiscreteMeasure(g, {(1, 0): 0.5, (0, 1): 0.5})
     assert wp_discrete(mu, nu, 1.0) == pytest.approx(1.0, abs=1e-12)
     assert w1_pair(mu, nu) == pytest.approx(1.0, abs=1e-12)
+
+
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+
+
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter that imports mtlab from this checkout's src/."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_import_mtlab_loads_no_scipy():
+    # only the transport LP needs scipy; it imports it on its first call
+    script = (
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(k for k in sys.modules\n"
+        "                  if k == 'scipy' or k.startswith('scipy.'))\n"
+        "import mtlab\n"
+        "after_mtlab = scipy_modules()\n"
+        "import mtlab.cli\n"
+        "print(json.dumps([after_mtlab, scipy_modules()]))\n"
+    )
+    done = _fresh_python("-c", script)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [[], []]
+
+
+def test_cli_distance_2d_solves_the_lp_in_a_fresh_process(tmp_path):
+    from mtlab.measures import serialize
+
+    g = CartesianGrid(dx=(1.0, 1.0), dt=0.25)
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_text(serialize(DiscreteMeasure(g, {(0, 0): 1.0})))
+    b.write_text(serialize(DiscreteMeasure(g, {(2, 0): 0.5, (0, 1): 0.5})))
+    done = _fresh_python("-m", "mtlab.cli", "distance", str(a), str(b))
+    assert done.returncode == 0, done.stderr
+    assert float(done.stdout) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_wp_discrete_scale_guard():
