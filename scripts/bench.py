@@ -2,8 +2,8 @@
 """Time the distance, path-sampling and semi-Lagrangian layers of mtlab and
 its studies.
 
-    python scripts/bench.py --out BENCH.json --label after
     python scripts/bench.py --out BENCH.json --src ../parent/src --label before
+    python scripts/bench.py --out BENCH.json --label after --base ../parent/src
 
 imports mtlab from --src (default: this checkout's src/), times each case
 K = 5 times and writes the medians, the single runs and the machine into
@@ -15,8 +15,9 @@ that both sides have: `quantile`, `quantile_of_analytic`, `wp_1d`, `w1_pair`,
 `l1_grid_vs_pieces`, `QuantileFunction.from_masses`,
 `harness.run_resolution`, `harness.run_study`, `harness.run_tri_study`,
 `make_kernels`, `sample_paths`, `increment_residual` and `empirical_law` of
-`stochastic`, and `structured_mesh`, `NodeMeasure` and `sl_run` of
-`simplex`.
+`stochastic`, `structured_mesh`, `NodeMeasure` and `sl_run` of `simplex`,
+and `exact_solution` with its `measure` and `quantile_fn` for each name in
+`harness.EXAMPLES`.
 
 Cases:
   * `wp_1d` on support m = 500, 1000, 2000, 10^4: step vs step (p = 1 via
@@ -44,7 +45,14 @@ Cases:
     to --src, timed from outside (interpreter start included), with the
     child's own peak RSS (`VmHWM`) of each run;
   * end to end: `scripts/convergence_study.py` in a subprocess with
-    PYTHONPATH set to --src (five 1-D studies and the triangulated study).
+    PYTHONPATH set to --src (five 1-D studies and the triangulated study);
+  * exact solutions: the time per call of `ExactSolution.quantile_fn` and
+    `ExactSolution.measure` of each example over the 2560 step times of the
+    finest default resolution (N = 3200), each of the K runs in a fresh
+    interpreter with PYTHONPATH set to --src (the median of 5 passes after
+    a warm-up pass).  In-process timings of such short calls move with the
+    heap state of the process.  With --base, the runs alternate between
+    --base, recorded under the label `before`, and --src, in turn first.
 
 Besides the times, each label records the peak RSS of this process and of
 its children (`ru_maxrss` of RUSAGE_SELF and RUSAGE_CHILDREN), both read
@@ -104,6 +112,18 @@ WIDE = (80, 5.0, 40, 12)
 COLD_IMPORT = ("import mtlab\n"
                "with open('/proc/self/status') as fh:\n"
                "    print(next(ln.split()[1] for ln in fh if ln.startswith('VmHWM:')))\n")
+# the exact-solution case: argv is example, method; prints seconds per call
+EXACT_CALLS = ("import statistics, sys, time\n"
+               "from mtlab.flows import exact_solution\n"
+               "call = getattr(exact_solution(sys.argv[1]), sys.argv[2])\n"
+               "ts = [(n + 1) * 0.00078125 for n in range(2560)]\n"
+               "runs = []\n"
+               "for _ in range(6):\n"
+               "    start = time.perf_counter()\n"
+               "    for t in ts:\n"
+               "        call(t)\n"
+               "    runs.append((time.perf_counter() - start) / len(ts))\n"
+               "print(statistics.median(runs[1:]))\n")
 
 
 def _machine() -> dict:
@@ -234,6 +254,27 @@ def _end_to_end(src: str) -> None:
                    env=env, check=True, stdout=subprocess.DEVNULL)
 
 
+def _exact_calls(examples, srcs: dict) -> dict:
+    """{label: cases} of the exact-solution calls, K fresh interpreters per
+    label and case, the labels alternating and in turn first."""
+    cases = {label: {} for label in srcs}
+    for example in examples:
+        for method in ("quantile_fn", "measure"):
+            runs = {label: [] for label in srcs}
+            for k in range(K):
+                order = list(srcs.items())
+                for label, src in order[::-1] if k % 2 else order:
+                    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+                    out = subprocess.run(
+                        [sys.executable, "-c", EXACT_CALLS, example, method],
+                        env=env, check=True, capture_output=True, text=True).stdout
+                    runs[label].append(float(out))
+            for label, rs in runs.items():
+                cases[label][f"exact {example} {method} per call"] = {
+                    "median_s": statistics.median(rs), "runs_s": rs}
+    return cases
+
+
 def measure(mtlab) -> dict:
     import numpy as np
 
@@ -302,6 +343,8 @@ def main() -> int:
     ap.add_argument("--label", default="after", help="name of this run in --out")
     ap.add_argument("--out", required=True,
                     help="JSON record to add this run to")
+    ap.add_argument("--base", help="mtlab source of the parent commit; the "
+                    "exact-solution runs then alternate with it (label before)")
     args = ap.parse_args()
 
     sys.path.insert(0, os.path.abspath(args.src))
@@ -320,7 +363,8 @@ def main() -> int:
             payload = json.load(fh)
     payload["machine"] = _machine()
     payload["method"] = (f"median of k={K} runs per case, one process per "
-                         "label, time.perf_counter; see scripts/bench.py")
+                         "label (a fresh one per run for the exact-solution "
+                         "cases), time.perf_counter; see scripts/bench.py")
     runs = payload.setdefault("runs", {})
     cases = measure(mtlab)
     label = runs[args.label] = {
@@ -333,6 +377,11 @@ def main() -> int:
     cold["child_peak_rss_mb"] = rss_mb
     cases["end to end scripts/convergence_study.py"] = _time(
         lambda: _end_to_end(args.src))
+    srcs = {args.label: args.src}
+    if args.base:
+        srcs = {"before": args.base, **srcs}
+    for name, exact in _exact_calls(mtlab.harness.EXAMPLES, srcs).items():
+        runs.setdefault(name, {"cases": {}})["cases"].update(exact)
     if "before" in runs and "after" in runs:
         before, after = runs["before"]["cases"], runs["after"]["cases"]
         payload["speedup"] = {name: before[name]["median_s"] / after[name]["median_s"]

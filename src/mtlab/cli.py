@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .flows import exact_solution
+from .flows import EXAMPLES
 from .harness import (
     ConfigError,
     StudyConfig,
@@ -35,7 +35,6 @@ from .stochastic import (
     total_variation,
 )
 from .wasserstein import (
-    PiecewiseConstantDensity,
     check_order,
     indicator,
     interpolation_check,
@@ -55,8 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file (StudyConfig schema)")
         p.add_argument("--scheme", help="upwind or rusanov")
-        p.add_argument("--example",
-                       help="example1, example2, example3, or binomial")
+        p.add_argument("--example", help=", ".join(EXAMPLES))
         p.add_argument("--T", type=float, help="final time")
         p.add_argument("--cfl", type=float, help="ratio dt/dx")
         p.add_argument("--ladder", help="comma-separated node counts")

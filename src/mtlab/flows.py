@@ -1,7 +1,10 @@
-"""Reference characteristics and exact solutions for the built-in examples.
+"""Exact solutions of the built-in examples, and the explicit Euler flow.
 
-The example fields are piecewise constant in space, so their generalized
-characteristics are piecewise affine and are hard-coded here; the explicit
+An exact solution is the datum pushed forward by the Filippov flow of the
+field, rho(t) = Z_t # rho_0 (Poupaud and Rascle), with quantile Z_t o Q_0 in
+1-D (Santambrogio 2015, section 2.1).  The example fields are piecewise
+constant, so each flow is affine between kinks, and one image rule,
+`push_forward`, serves every datum and flow of `EXAMPLES`.  The explicit
 Euler flow shares the fields' pointwise conventions at jumps so scheme and
 reference never disagree about boundary values.
 """
@@ -9,11 +12,12 @@ reference never disagree about boundary values.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .measures import AnalyticMeasure, QuantileFunction, dirac
+from .measures import AnalyticMeasure, QuantileFunction, dirac, uniform
 from .velocity import VelocityField
 
 
@@ -43,87 +47,123 @@ def euler_step(flow: EulerFlow) -> EulerFlow:
     return replace(flow, n=flow.n + 1, positions=flow.positions + flow.dt * vel)
 
 
-def quantile_of_analytic(m: AnalyticMeasure) -> QuantileFunction:
-    """Generalized inverse CDF of a 1D analytic measure (atoms + densities).
+def _two_speed(t: float):
+    # example1/2: speed 1 left of the origin, 1/2 from it on.  A point y in
+    # [-t, 0) reaches the origin at time -y and moves on at half speed.
+    return (-t, 0.0), (1.0, 0.5, 1.0), (t, t / 2, t / 2)
 
-    Atoms give flat pieces and density pieces affine ones of slope 1/height,
-    ordered by position (an atom before a density piece at the same point);
-    atoms of zero mass and empty or zero-height pieces are left out.
-    """
+
+def _front(t: float):
+    # example3: speed 2 left of the front min(t, 1), 1 from it on.  A point
+    # y in [-1, 0) catches the front at time -y <= 1 and moves with it, and
+    # on at unit speed after t = 1, so it sits at t; exact on the datum only.
+    return (-t,), (1.0, 0.0), (2.0 * t, t)
+
+
+def _unit_speed(t: float):
+    return (), (1.0,), (t,)
+
+
+# name -> (datum, flow of the field); the one list of the built-in examples
+EXAMPLES = {
+    "example1": (dirac((-0.5,)), _two_speed),
+    "example2": (uniform(-1.0, 1.0), _two_speed),
+    "example3": (uniform(-1.0, 0.0), _front),
+    "binomial": (dirac((0.0,)), _unit_speed),
+}
+
+
+def push_forward(datum: AnalyticMeasure, flow) -> list[tuple[float, float, float]]:
+    """Rows (lo, hi, mass) of a 1-D datum pushed by a flow (kinks, slopes,
+    shifts), which sends y on [kinks[i-1], kinks[i]) to slopes[i] * y +
+    shifts[i].  A density piece is cut at the kinks, and each part goes to
+    the interval between the images of its ends, or to one atom (lo == hi)
+    where the slope is 0.  Parts of no mass are left out; the rows are in
+    order of position, an atom before an interval that starts at it."""
+    kinks, slopes, shifts = flow
+    rows = []
+    for (y,), mass in datum.atoms:
+        if mass > 0.0:
+            i = bisect_right(kinks, y)
+            x = slopes[i] * y + shifts[i]
+            rows.append((x, x, mass))
+    for a, b, h in datum.pieces:
+        edges = (-math.inf, *kinks, math.inf)
+        for k, s, left, right in zip(slopes, shifts, edges, edges[1:]):
+            # max(a, left) and min(b, right) without the cost of the calls
+            lo = left if left > a else a
+            hi = right if right < b else b
+            if not (lo < hi and h > 0.0):
+                continue
+            x_lo, x_hi = k * lo + s, k * hi + s
+            if k == 0.0:
+                rows.append((x_lo, x_lo, h * (hi - lo)))
+            elif x_hi > x_lo:
+                # the mass is the image's height h / k times its length, so
+                # that the height reads back as mass / length
+                rows.append((x_lo, x_hi, h / k * (x_hi - x_lo)))
+    rows.sort()
+    return rows
+
+
+def quantile_of_analytic(m: AnalyticMeasure, flow=((), (1.0,), (0.0,))
+                         ) -> QuantileFunction:
+    """Generalized inverse CDF of a 1D analytic measure (atoms + densities)
+    pushed forward by the flow (the identity by default): flat on an atom
+    and affine on an interval of the push_forward rows, with the cumulative
+    masses clipped to [0, 1] and the last set to 1 as in `from_masses`."""
     if m.dims != 1:
         raise ValueError("quantile functions are 1D only")
-    parts = [(x, mass, 0.0) for (x,), mass in m.atoms if mass > 0.0]
-    parts += [(lo, h * (hi - lo), 1.0 / h) for lo, hi, h in m.pieces
-              if hi > lo and h > 0.0]
-    parts.sort(key=lambda part: part[0])
-    x, mass, slope = np.array(parts).reshape(-1, 3).T
-    return QuantileFunction.from_masses(x, mass, slope)
-
-
-EXACT_KINDS = ("example1", "example2", "example3", "constant-dirac")
+    z, v, s, acc = [0.0], [], [], 0.0
+    for lo, hi, mass in push_forward(m, flow):
+        acc += mass
+        z.append(acc if acc < 1.0 else 1.0)
+        v.append(lo)
+        s.append((hi - lo) / mass)
+    z[-1] = 1.0
+    return QuantileFunction(np.array(z), np.array(v), np.array(s))
 
 
 @dataclass(frozen=True)
 class ExactSolution:
-    """Closed-form measure solution, addressable at any time t >= 0."""
+    """The measure solution of a built-in example at any time t >= 0."""
 
     kind: str
-    x0: tuple[float, ...] = (-0.5,)
-    speed: tuple[float, ...] = (1.0,)
 
     def __post_init__(self):
-        if self.kind not in EXACT_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in EXAMPLES:
             raise ValueError(f"unknown exact solution {self.kind!r}")
 
     def initial(self) -> AnalyticMeasure:
-        return self.measure(0.0)
+        return EXAMPLES[self.kind][0]
 
-    def measure(self, t: float) -> AnalyticMeasure:
+    def _at(self, t: float):
+        """The datum and the flow to time t."""
         if t < 0.0:
             raise ValueError("t must be nonnegative")
-        if self.kind == "constant-dirac":
-            return dirac(self.position(t))
-        if self.kind == "example1":
-            return dirac((self.position(t)[0],))
-        if self.kind == "example2":
-            # two-speed field acting on the uniform datum on [-1, 1] (mass 1)
-            if t <= 1.0:
-                pieces = [(-1.0 + t, 0.0, 0.5), (0.0, t / 2, 1.0),
-                          (t / 2, 1.0 + t / 2, 0.5)]
-            else:
-                pieces = [((t - 1.0) / 2, t / 2, 1.0), (t / 2, 1.0 + t / 2, 0.5)]
-            pieces = [(a, b, h) for a, b, h in pieces if b > a]
-            return AnalyticMeasure(dims=1, pieces=tuple(pieces))
-        # example3: uniform datum on [-1, 0], shock collects a growing atom
-        if t >= 1.0:
-            return dirac((t,))
-        atoms = (((t,), t),) if t > 0.0 else ()
-        return AnalyticMeasure(dims=1, atoms=atoms,
-                               pieces=(((-1.0 + 2.0 * t), t, 1.0),))
+        datum, flow = EXAMPLES[self.kind]
+        return datum, flow(t)
 
-    def position(self, t: float) -> tuple[float, ...]:
-        """Exact characteristic position for the Dirac-type solutions."""
-        if self.kind == "constant-dirac":
-            return tuple(x + c * t for x, c in zip(self.x0, self.speed))
-        if self.kind == "example1":
-            x0 = self.x0[0]
-            if t < -x0:
-                return (x0 + t,)
-            return (0.5 * (t + x0),)
-        raise ValueError(f"{self.kind} is not a Dirac-type solution")
+    def measure(self, t: float) -> AnalyticMeasure:
+        rows = push_forward(*self._at(t))
+        return AnalyticMeasure(
+            dims=1,
+            atoms=tuple([((lo,), m) for lo, hi, m in rows if hi == lo]),
+            pieces=tuple([(lo, hi, m / (hi - lo)) for lo, hi, m in rows if hi > lo]),
+        )
+
+    def position(self, t: float) -> tuple[float]:
+        """Exact characteristic position, while the solution is one atom."""
+        rows = push_forward(*self._at(t))
+        if len(rows) != 1 or rows[0][0] != rows[0][1]:
+            raise ValueError(f"{self.kind} at t={t} is not a Dirac")
+        return (rows[0][0],)
 
     def quantile_fn(self, t: float) -> QuantileFunction:
-        if self.kind in ("example1", "constant-dirac"):
-            pos = self.position(t)
-            if len(pos) != 1:
-                raise ValueError("quantile functions are 1D only")
-            return QuantileFunction(np.array([0.0, 1.0]), np.array(pos), np.zeros(1))
-        return quantile_of_analytic(self.measure(t))
+        return quantile_of_analytic(*self._at(t))
 
 
 def exact_solution(name: str) -> ExactSolution:
-    if name == "binomial":
-        return ExactSolution(kind="constant-dirac", x0=(0.0,), speed=(1.0,))
     return ExactSolution(kind=name)
 
 

@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .flows import ExactSolution, exact_solution
+from .flows import EXAMPLES, ExactSolution, exact_solution
 from .measures import (
     AnalyticMeasure,
     CartesianGrid,
@@ -74,8 +74,6 @@ DEFAULT_LADDER = (100, 200, 400, 800, 1600, 3200)
 DEFAULT_DOMAIN = (-2.5, 2.5)
 _PRUNE_BUDGET = 1e-10  # largest mass a triangulated run may prune in all
 
-EXAMPLES = ("example1", "example2", "example3", "binomial")
-
 _WP_RE = re.compile(r"wp\(([^)]+)\)")
 
 
@@ -90,7 +88,7 @@ def _distance_order(distance: str) -> float | None:
         return None
     if distance == "w1":
         return 1.0
-    match = _WP_RE.fullmatch(distance)
+    match = _WP_RE.fullmatch(distance) if isinstance(distance, str) else None
     if not match:
         raise ConfigError(f"unknown distance {distance!r}")
     try:
@@ -102,12 +100,26 @@ def _distance_order(distance: str) -> float | None:
 
 
 def _finite_floats(values, n: int) -> tuple[float, ...] | None:
-    """values as a tuple of n finite floats, or None if it is not one."""
+    """values as a tuple of n finite floats, or None if it is not one; a
+    bool or a string is no number here, as in the ladder and seed rules."""
     try:
+        values = tuple(values)
         out = tuple(float(v) for v in values)
     except (TypeError, ValueError, OverflowError):
         return None
+    if any(isinstance(v, (bool, str)) for v in values):
+        return None
     return out if len(out) == n and all(map(math.isfinite, out)) else None
+
+
+def _set_real(cfg, name: str, admit, rule: str) -> None:
+    """Store field `name` of cfg as a finite float (`_finite_floats`);
+    ConfigError "<rule>, not <value>" unless admit accepts it."""
+    value = getattr(cfg, name)
+    x = _finite_floats((value,), 1)
+    if x is None or not admit(x[0]):
+        raise ConfigError(f"{rule}, not {value!r}")
+    object.__setattr__(cfg, name, x[0])
 
 
 def _ladder_of(values) -> tuple[int, ...]:
@@ -157,16 +169,14 @@ class StudyConfig:
                 f"domain must be a finite nonempty interval, not {self.domain!r}"
             )
         object.__setattr__(self, "domain", domain)
-        if self.example not in EXAMPLES:
+        if not isinstance(self.example, str) or self.example not in EXAMPLES:
             raise ConfigError(f"unknown example {self.example!r}")
         try:
             SchemeSpec(self.scheme)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if not (0.0 < self.T < math.inf):
-            raise ConfigError("final time must be positive and finite")
-        if not (0.0 < self.cfl):
-            raise ConfigError("CFL ratio must be positive")
+        _set_real(self, "T", lambda x: x > 0.0, "final time must be positive and finite")
+        _set_real(self, "cfl", lambda x: x > 0.0, "CFL ratio must be positive and finite")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or self.seed < 0):
             raise ConfigError(f"seed must be a nonnegative integer, not {self.seed!r}")
@@ -266,10 +276,7 @@ def config_from_mapping(data: dict) -> StudyConfig:
     bad = set(data) - known
     if bad:
         raise ConfigError(f"unknown config keys: {sorted(bad)}")
-    try:
-        return StudyConfig(**data)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return StudyConfig(**data)
 
 
 @dataclass(frozen=True)
@@ -456,14 +463,11 @@ class TriStudyConfig:
     prune: float = 1e-16  # drop weights below this; dropped mass is tracked
 
     def __post_init__(self):
-        if not (0.0 < self.T < math.inf):
-            raise ConfigError("final time must be positive and finite")
+        _set_real(self, "T", lambda x: x > 0.0, "final time must be positive and finite")
         object.__setattr__(self, "ladder", _ladder_of(self.ladder))
-        if not (0.0 < self.cfl <= 1.0):
-            raise ConfigError("CFL ratio must lie in (0, 1]")
-        if not (0.0 <= self.prune < math.inf):
-            raise ConfigError(
-                f"prune threshold must be finite and nonnegative, not {self.prune!r}")
+        _set_real(self, "cfl", lambda x: 0.0 < x <= 1.0, "CFL ratio must lie in (0, 1]")
+        _set_real(self, "prune", lambda x: x >= 0.0,
+                  "prune threshold must be finite and nonnegative")
         for name in ("speed", "x0"):
             pair = _finite_floats(getattr(self, name), 2)
             if pair is None:

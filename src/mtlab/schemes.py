@@ -61,13 +61,6 @@ class SchemeSpec:
             return 2.0 * field.a_inf
         return field.a_inf
 
-    def coefficients(
-        self, field: VelocityField, n: int, J: MultiIndex, grid: CartesianGrid
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(zeta, beta) arrays of length d for node J at step n."""
-        zeta, beta = node_coefficients(self, field, n, np.array([J]), grid)
-        return zeta[0], beta[0]
-
 
 def _field_at(
     field: VelocityField, n: int, x: np.ndarray, grid: CartesianGrid

@@ -17,6 +17,12 @@ against them.
 measures: a `sl_step` per step, the pruned weights dropped by a dict
 comprehension, and W_1 to the Dirac summed over a weight list rebuilt from
 the dict; the array stepper of `mtlab.harness` is tested against it.
+
+`reference_exact_measure` is the closed form of each example's exact
+solution, written out per example as piece tables, and
+`reference_quantile` the earlier quantile of such a measure, its parts
+sorted by position and built by `QuantileFunction.from_masses`; the flow
+maps and the image rule of `mtlab.flows` are tested against them.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import math
 import numpy as np
 
 from mtlab.harness import step_count
-from mtlab.measures import DiscreteMeasure
+from mtlab.measures import AnalyticMeasure, DiscreteMeasure, QuantileFunction, dirac
 from mtlab.simplex import NodeMeasure, node_nearest, sl_step, structured_mesh
 from mtlab.velocity import constant
 
@@ -257,3 +263,37 @@ def reference_tri_error(cfg, N):
     if dropped > 1e-10:
         raise RuntimeError(f"pruned mass {dropped:.3e} exceeds budget")
     return worst
+
+
+def reference_exact_measure(kind, t):
+    """The exact solution of example `kind` at time t >= 0, from its table."""
+    if kind == "binomial":  # unit speed on a Dirac at the origin
+        return dirac((0.0 + 1.0 * t,))
+    if kind == "example1":  # two-speed field on a Dirac at -0.5
+        return dirac((-0.5 + t,) if t < 0.5 else (0.5 * (t - 0.5),))
+    if kind == "example2":
+        # two-speed field acting on the uniform datum on [-1, 1] (mass 1)
+        if t <= 1.0:
+            pieces = [(-1.0 + t, 0.0, 0.5), (0.0, t / 2, 1.0),
+                      (t / 2, 1.0 + t / 2, 0.5)]
+        else:
+            pieces = [((t - 1.0) / 2, t / 2, 1.0), (t / 2, 1.0 + t / 2, 0.5)]
+        pieces = [(a, b, h) for a, b, h in pieces if b > a]
+        return AnalyticMeasure(dims=1, pieces=tuple(pieces))
+    assert kind == "example3"
+    # uniform datum on [-1, 0], the front collects a growing atom
+    if t >= 1.0:
+        return dirac((t,))
+    atoms = (((t,), t),) if t > 0.0 else ()
+    return AnalyticMeasure(dims=1, atoms=atoms, pieces=(((-1.0 + 2.0 * t), t, 1.0),))
+
+
+def reference_quantile(m):
+    """Quantile function of a 1-D analytic measure: a flat part per atom and
+    an affine one of slope 1 / height per density piece, by position."""
+    parts = [(x, mass, 0.0) for (x,), mass in m.atoms if mass > 0.0]
+    parts += [(lo, h * (hi - lo), 1.0 / h) for lo, hi, h in m.pieces
+              if hi > lo and h > 0.0]
+    parts.sort(key=lambda part: part[0])
+    x, mass, slope = np.array(parts).reshape(-1, 3).T
+    return QuantileFunction.from_masses(x, mass, slope)

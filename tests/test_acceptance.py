@@ -19,7 +19,7 @@ from mtlab.harness import (
     run_tri_study,
 )
 from mtlab.measures import CartesianGrid, DiscreteMeasure, moment, quantile
-from mtlab.schemes import SchemeSpec, run
+from mtlab.schemes import SchemeSpec, node_coefficients, run
 from mtlab.simplex import barycentric, offdiagonal_mass, structured_mesh
 from mtlab.stochastic import increment_residual, make_kernels, propagate_law, sample_paths
 from mtlab.velocity import constant, example1
@@ -229,7 +229,7 @@ def test_10_rusanov_consistency_and_order():
     worst = 0.0
     for j in range(-8, 9):
         a = np.atleast_1d(f.time_average(0.0, g.dt, g.node_array((j,))))
-        zeta, beta = spec.coefficients(f, 0, (j,), g)
+        (zeta,), (beta,) = node_coefficients(spec, f, 0, np.array([[j]]), g)
         worst = max(worst, float(np.max(np.abs((zeta - beta) - a))))
     start = time.perf_counter()
     rep = run_study(StudyConfig(example="example1", scheme="rusanov"))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mtlab.flows import (
+    EXAMPLES,
     ExactSolution,
     binomial_w1_bruteforce,
     binomial_w1_exact,
@@ -11,10 +12,15 @@ from mtlab.flows import (
     euler_flow,
     euler_step,
     exact_solution,
+    push_forward,
     quantile_of_analytic,
 )
-from mtlab.measures import uniform
-from mtlab.velocity import constant, example1
+from mtlab.measures import dirac
+from mtlab.velocity import constant, example1, named_field
+from reference import reference_exact_measure, reference_quantile
+from test_wasserstein import random_analytic_1d
+
+TIMES = (0.0, 0.25, 0.5, 0.77, 1.0, 1.5, 2.0, 2.5)  # kinks cross at 0.5 and 1
 
 
 def advance(flow, steps):
@@ -66,6 +72,24 @@ def test_euler_flow_error_bound_vs_exact():
             assert err <= 3.0 * 1.0 * math.sqrt(t * dt) + 1e-14
 
 
+@pytest.mark.parametrize("example, seeds", [
+    ("example2", np.linspace(-1.0, 1.0, 17)),
+    ("example3", np.linspace(-1.0, 0.0, 17)),
+])
+def test_euler_flow_error_bound_vs_flow_map(example, seeds):
+    # the flow map of each datum, one seed at a time, against Euler
+    field = named_field(example)
+    flow = EXAMPLES[example][1]
+    for dt in (1e-2, 1e-3):
+        euler = euler_flow(field, dt, seeds[:, None])
+        for n in range(1, int(round(2.5 / dt)) + 1):
+            euler = euler_step(euler)
+            t = n * dt
+            exact = [push_forward(dirac((y,)), flow(t))[0][0] for y in seeds]
+            err = np.max(np.abs(euler.positions[:, 0] - exact))
+            assert err <= 3.0 * field.a_inf * math.sqrt(t * dt) + 1e-14
+
+
 def test_flow_lipschitz_pairs():
     # flows of OSL fields with modulus 0 are (1+eps)-Lipschitz for small dt
     dt = 1e-3
@@ -77,6 +101,46 @@ def test_flow_lipschitz_pairs():
             gap0 = abs(seeds[i, 0] - seeds[j, 0])
             gap = abs(out.positions[i, 0] - out.positions[j, 0])
             assert gap <= (1.0 + 1e-2) * gap0
+
+
+@pytest.mark.parametrize("example", list(EXAMPLES))
+def test_exact_solution_matches_reference_tables(example):
+    # random times too: where the image rule rounds differently from the
+    # tables (a mass taken from the preimage, say) only some t show it
+    sol = exact_solution(example)
+    for t in TIMES + tuple(np.random.default_rng(7).uniform(0.0, 3.0, 300).tolist()):
+        ref = reference_exact_measure(example, t)
+        assert sol.measure(t) == ref
+        got, want = sol.quantile_fn(t), reference_quantile(ref)
+        for a, b in ((got.z, want.z), (got.v, want.v), (got.s, want.s)):
+            assert a.tolist() == b.tolist()
+        if not ref.pieces and len(ref.atoms) == 1:
+            assert sol.position(t) == ref.atoms[0][0]
+        else:
+            with pytest.raises(ValueError, match="not a Dirac"):
+                sol.position(t)
+
+
+def test_quantile_of_analytic_matches_reference():
+    # the identity flow keeps positions and masses; a slope is length / mass
+    # instead of 1 / height, equal up to rounding
+    rng = np.random.default_rng(18)
+    for _ in range(300):
+        m = random_analytic_1d(rng)
+        got, want = quantile_of_analytic(m), reference_quantile(m)
+        assert got.z.tolist() == want.z.tolist()
+        assert got.v.tolist() == want.v.tolist()
+        np.testing.assert_allclose(got.s, want.s, rtol=4e-16, atol=0.0)
+
+
+def test_slope_zero_collapses_a_piece_into_an_atom():
+    # example3's front at t = 0.25: [-1, -0.25) moves at speed 2, [-0.25, 0)
+    # has met the front and sits at t in one atom of its mass
+    flow = EXAMPLES["example3"][1]
+    rows = push_forward(EXAMPLES["example3"][0], flow(0.25))
+    assert rows == [(-0.5, 0.25, 0.75), (0.25, 0.25, 0.25)]
+    with pytest.raises(ValueError, match="nonnegative"):
+        exact_solution("example3").measure(-0.1)
 
 
 def test_exact_measures():
@@ -171,5 +235,6 @@ def test_central_binomial_ratio_crossover():
 
 
 def test_unknown_exact_solution():
-    with pytest.raises(ValueError):
-        ExactSolution(kind="example9")
+    for kind in ("example9", "constant-dirac", ["example1"]):
+        with pytest.raises(ValueError):
+            ExactSolution(kind=kind)

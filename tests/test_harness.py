@@ -54,6 +54,29 @@ def test_config_validation():
         config_from_mapping({"bogus": 1})
 
 
+@pytest.mark.parametrize("make, field, value", [
+    (StudyConfig, "T", "x"), (StudyConfig, "T", None), (StudyConfig, "T", True),
+    (StudyConfig, "T", 10 ** 400), (StudyConfig, "cfl", None),
+    (StudyConfig, "cfl", "0.5"), (StudyConfig, "cfl", False),
+    (StudyConfig, "distance", 5), (StudyConfig, "example", ["example1"]),
+    (StudyConfig, "domain", (False, True)), (StudyConfig, "domain", ("-1", "1")),
+    (TriStudyConfig, "prune", "x"), (TriStudyConfig, "prune", True),
+    (TriStudyConfig, "T", None), (TriStudyConfig, "T", True),
+    (TriStudyConfig, "cfl", "0.25"), (TriStudyConfig, "speed", ("1", "0.5")),
+], ids=lambda v: getattr(v, "__name__", repr(v)[:12]))
+def test_config_refuses_a_value_of_the_wrong_type(make, field, value):
+    with pytest.raises(ConfigError):
+        make(**{field: value})
+
+
+def test_config_stores_times_and_ratios_as_floats():
+    cfg = StudyConfig(T=np.int64(2), cfl=np.float32(0.5))
+    tri = TriStudyConfig(T=1, cfl=1, prune=0)
+    for x in (cfg.T, cfg.cfl, tri.T, tri.cfl, tri.prune):
+        assert type(x) is float
+    assert (cfg.T, cfg.cfl, tri.T, tri.cfl, tri.prune) == (2.0, 0.5, 1.0, 1.0, 0.0)
+
+
 def test_distance_order_is_parsed_once_and_classified():
     assert StudyConfig(distance="w1").order == 1.0
     assert StudyConfig(distance="l1").order is None
@@ -79,6 +102,10 @@ def test_distance_order_is_parsed_once_and_classified():
     pytest.param({"domain": [0, "x"]}, id="domain-not-numbers"),
     pytest.param({"seed": "x"}, id="seed-not-an-integer"),
     pytest.param({"out": 5}, id="out-not-a-path"),
+    pytest.param({"T": "2"}, id="T-a-string"),
+    pytest.param({"cfl": None}, id="cfl-null"),
+    pytest.param({"distance": 5}, id="distance-a-number"),
+    pytest.param({"example": ["example1"]}, id="example-a-list"),
 ])
 def test_cli_config_with_a_bad_order_exits_2(tmp_path, capsys, mapping):
     cfg_path = tmp_path / "cfg.json"

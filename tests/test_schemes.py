@@ -5,7 +5,7 @@ import pytest
 
 from conftest import grid_for, random_measure, random_osl_field
 from mtlab.measures import CartesianGrid, DiscreteMeasure, dirac, moment, project_initial
-from mtlab.schemes import CflError, SchemeSpec, check_cfl, run, step
+from mtlab.schemes import CflError, SchemeSpec, check_cfl, node_coefficients, run, step
 from mtlab.velocity import constant, example1
 
 
@@ -105,7 +105,7 @@ def test_relbeta_consistency_for_all_schemes():
             a = np.atleast_1d(
                 f.time_average(0.0, g.dt, g.node_array((j,)))
             )
-            zeta, beta = spec.coefficients(f, 0, (j,), g)
+            (zeta,), (beta,) = node_coefficients(spec, f, 0, np.array([[j]]), g)
             assert zeta.min() >= 0.0 and beta.min() >= 0.0
             np.testing.assert_allclose(zeta - beta, a, rtol=4e-16, atol=1e-15)
 
@@ -122,13 +122,13 @@ def test_interface_variant_breaks_consistency():
     )
     g = CartesianGrid(dx=(0.5,), dt=0.25)
     spec = SchemeSpec("interface_upwind")
-    zeta, beta = spec.coefficients(f, 0, (0,), g)
+    (zeta,), (beta,) = node_coefficients(spec, f, 0, np.array([[0]]), g)
     a0 = float(f(0.0, np.array(0.0)))
     assert a0 == 1.0
     # right interface sits at 0.25, past the jump: zeta - beta = 0 there
     assert abs(float(zeta[0] - beta[0]) - a0) > 0.1
     # the audited upwind rule stays consistent at the same node
-    zu, bu = SchemeSpec("upwind").coefficients(f, 0, (0,), g)
+    (zu,), (bu,) = node_coefficients(SchemeSpec("upwind"), f, 0, np.array([[0]]), g)
     assert float(zu[0] - bu[0]) == pytest.approx(a0, abs=1e-15)
 
 
