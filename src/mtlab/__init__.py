@@ -41,7 +41,7 @@ from .flows import (
     exact_solution,
     quantile_of_analytic,
 )
-from .velocity import VelocityField, constant, named_field
+from .velocity import VelocityField, constant
 from .wasserstein import (
     PiecewiseConstantDensity,
     bv_seminorm,

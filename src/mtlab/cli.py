@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 CFL violation, 4 I/O error.
+Exit codes: 0 success, 2 configuration error, 3 CFL violation, 4 I/O error
+(a bad file, or measure tables too large for the exact solver).
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .stochastic import (
     total_variation,
 )
 from .wasserstein import (
+    ScaleError,
     check_order,
     indicator,
     interpolation_check,
@@ -245,7 +247,7 @@ def main(argv: list[str] | None = None) -> int:
     except CflError as exc:
         print(f"CFL error: {exc}", file=sys.stderr)
         return EXIT_CFL
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, json.JSONDecodeError, ValueError, ScaleError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -1,12 +1,13 @@
-"""Exact solutions of the built-in examples, and the explicit Euler flow.
+"""The built-in examples with their exact solutions, and the explicit Euler flow.
 
-An exact solution is the datum pushed forward by the Filippov flow of the
-field, rho(t) = Z_t # rho_0 (Poupaud and Rascle), with quantile Z_t o Q_0 in
-1-D (Santambrogio 2015, section 2.1).  The example fields are piecewise
-constant, so each flow is affine between kinks, and one image rule,
-`push_forward`, serves every datum and flow of `EXAMPLES`.  The explicit
-Euler flow shares the fields' pointwise conventions at jumps so scheme and
-reference never disagree about boundary values.
+`EXAMPLES` is the one table of the examples: each entry holds the field, the
+datum and the field's flow together.  An exact solution is the datum pushed
+forward by the Filippov flow of the field, rho(t) = Z_t # rho_0 (Poupaud and
+Rascle), with quantile Z_t o Q_0 in 1-D (Santambrogio 2015, section 2.1).  The
+example fields are piecewise constant, so each flow is affine between kinks,
+and one image rule, `push_forward`, serves every entry.  The explicit Euler
+flow shares the fields' pointwise conventions at jumps (the right value in x)
+so scheme and reference never disagree about boundary values.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .measures import AnalyticMeasure, QuantileFunction, dirac, uniform
-from .velocity import VelocityField
+from .velocity import VelocityField, constant
 
 
 @dataclass(frozen=True)
@@ -47,10 +49,21 @@ def euler_step(flow: EulerFlow) -> EulerFlow:
     return replace(flow, n=flow.n + 1, positions=flow.positions + flow.dt * vel)
 
 
+def _example12_eval(t: float, x: np.ndarray) -> np.ndarray:
+    # 1 left of the origin, 1/2 at and right of it
+    return np.where(x < 0.0, 1.0, 0.5)
+
+
 def _two_speed(t: float):
     # example1/2: speed 1 left of the origin, 1/2 from it on.  A point y in
     # [-t, 0) reaches the origin at time -y and moves on at half speed.
     return (-t, 0.0), (1.0, 0.5, 1.0), (t, t / 2, t / 2)
+
+
+def _example3_eval(t: float, x: np.ndarray) -> np.ndarray:
+    # 2 left of the moving front min(t, 1), 1 at and right of it
+    front = min(t, 1.0)
+    return np.where(x < front, 2.0, 1.0)
 
 
 def _front(t: float):
@@ -64,12 +77,25 @@ def _unit_speed(t: float):
     return (), (1.0,), (t,)
 
 
-# name -> (datum, flow of the field); the one list of the built-in examples
+class Example(NamedTuple):
+    """A built-in example: the field, the datum, and the field's flow on the
+    datum, flow(t) -> (kinks, slopes, shifts) as `push_forward` reads it."""
+
+    field: VelocityField
+    datum: AnalyticMeasure
+    flow: Callable[[float], tuple]
+
+
+_TWO_SPEED = VelocityField(_example12_eval, a_inf=1.0, name="two-speed")
+
+# name -> (field, datum, flow); the one list of the built-in examples
 EXAMPLES = {
-    "example1": (dirac((-0.5,)), _two_speed),
-    "example2": (uniform(-1.0, 1.0), _two_speed),
-    "example3": (uniform(-1.0, 0.0), _front),
-    "binomial": (dirac((0.0,)), _unit_speed),
+    "example1": Example(_TWO_SPEED, dirac((-0.5,)), _two_speed),
+    "example2": Example(_TWO_SPEED, uniform(-1.0, 1.0), _two_speed),
+    "example3": Example(VelocityField(_example3_eval, a_inf=2.0,
+                                      time_regularity="lipschitz", name="front"),
+                        uniform(-1.0, 0.0), _front),
+    "binomial": Example(constant(1.0), dirac((0.0,)), _unit_speed),
 }
 
 
@@ -135,13 +161,13 @@ class ExactSolution:
             raise ValueError(f"unknown exact solution {self.kind!r}")
 
     def initial(self) -> AnalyticMeasure:
-        return EXAMPLES[self.kind][0]
+        return EXAMPLES[self.kind].datum
 
     def _at(self, t: float):
         """The datum and the flow to time t."""
         if t < 0.0:
             raise ValueError("t must be nonnegative")
-        datum, flow = EXAMPLES[self.kind]
+        _, datum, flow = EXAMPLES[self.kind]
         return datum, flow(t)
 
     def measure(self, t: float) -> AnalyticMeasure:

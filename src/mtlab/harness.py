@@ -40,7 +40,7 @@ import re
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -67,7 +67,7 @@ from .simplex import (
     structured_mesh,
     w1_to_point,
 )
-from .velocity import VelocityField, constant, named_field
+from .velocity import VelocityField, constant
 from .wasserstein import check_order, l1_grid_vs_pieces, wp_1d
 
 DEFAULT_LADDER = (100, 200, 400, 800, 1600, 3200)
@@ -192,7 +192,7 @@ class StudyConfig:
             )
 
     def field(self) -> VelocityField:
-        return named_field(self.example)
+        return EXAMPLES[self.example].field
 
     def initial(self) -> AnalyticMeasure:
         return self.exact().initial()
@@ -271,9 +271,7 @@ def _run_steps(T: float, dt: float, N: int) -> int:
 
 
 def config_from_mapping(data: dict) -> StudyConfig:
-    known = {"example", "scheme", "T", "ladder", "cfl", "distance",
-             "domain", "seed", "out"}
-    bad = set(data) - known
+    bad = set(data) - {f.name for f in fields(StudyConfig)}
     if bad:
         raise ConfigError(f"unknown config keys: {sorted(bad)}")
     return StudyConfig(**data)

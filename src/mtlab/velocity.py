@@ -1,14 +1,15 @@
 """Bounded one-sided-Lipschitz velocity fields and their time averages.
 
 A field is a total, everywhere-defined function (t, x) -> R^d together with a
-sup bound and a declared OSL modulus alpha(t).  The pointwise representative
-at jumps follows the built-in examples' conventions (right value in x).
+sup bound and a declared OSL modulus alpha(t).  This module holds the field
+type, the constant field and an empirical probe of the modulus; the fields of
+the built-in examples sit in `flows.EXAMPLES`, each beside the flow it must
+match, and take the right value at a jump in x.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -100,21 +101,11 @@ def osl_probe(
     return float(np.max(num[keep] / nrm2[keep] - alpha, initial=-math.inf))
 
 
-def _example12_eval(t: float, x: np.ndarray) -> np.ndarray:
-    # 1 left of the origin, 1/2 at and right of it
-    return np.where(x < 0.0, 1.0, 0.5)
-
-
-def _example3_eval(t: float, x: np.ndarray) -> np.ndarray:
-    # 2 left of the moving front min(t, 1), 1 at and right of it
-    front = min(t, 1.0)
-    return np.where(x < front, 2.0, 1.0)
-
-
-def constant(c, dims: int | None = None) -> VelocityField:
+def constant(c) -> VelocityField:
+    """The field equal to c everywhere; its dimension is the number of
+    values in c, and its bound their Euclidean norm."""
     cv = np.atleast_1d(np.asarray(c, dtype=float))
-    if dims is None:
-        dims = cv.size
+    dims = cv.size
 
     def ev(t, x):
         if dims == 1:
@@ -123,44 +114,7 @@ def constant(c, dims: int | None = None) -> VelocityField:
 
     return VelocityField(
         eval_fn=ev,
-        a_inf=float(np.linalg.norm(cv)) if cv.size else 0.0,
+        a_inf=float(np.linalg.norm(cv)),
         dims=dims,
         name=f"constant({','.join(repr(v) for v in cv.tolist())})",
     )
-
-
-def example1() -> VelocityField:
-    return VelocityField(_example12_eval, a_inf=1.0, dims=1, name="example1")
-
-
-def example2() -> VelocityField:
-    return VelocityField(_example12_eval, a_inf=1.0, dims=1, name="example2")
-
-
-def example3() -> VelocityField:
-    return VelocityField(
-        _example3_eval, a_inf=2.0, dims=1, time_regularity="lipschitz", name="example3"
-    )
-
-
-_CONST_RE = re.compile(r"constant\(([^)]*)\)")
-
-
-def named_field(name: str) -> VelocityField:
-    """Look up a built-in field: constant(c), example1/2/3, binomial."""
-    name = name.strip()
-    if name == "example1":
-        return example1()
-    if name == "example2":
-        return example2()
-    if name == "example3":
-        return example3()
-    if name == "binomial":
-        f = constant(1.0)
-        return VelocityField(f.eval_fn, f.a_inf, f.dims, f.alpha, f.time_regularity,
-                             name="binomial")
-    m = _CONST_RE.fullmatch(name)
-    if m:
-        vals = [float(v) for v in m.group(1).split(",") if v.strip()]
-        return constant(vals if len(vals) > 1 else vals[0])
-    raise KeyError(f"unknown velocity field {name!r}")

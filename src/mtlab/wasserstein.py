@@ -126,10 +126,6 @@ def wp_1d(mu_q: QuantileFunction, nu_q: QuantileFunction, p: float = 1.0) -> flo
 
 def wp_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> float:
     """Exact W_p between discrete measures via the transport linear program."""
-    # imported here so that only the LP pays for scipy (0.5 s, 48 MB)
-    import scipy.sparse as sp
-    from scipy.optimize import linprog
-
     check_order(p)
     xm, wm = mu.positions(), mu.weight_array()
     xn, wn = nu.positions(), nu.weight_array()
@@ -139,6 +135,11 @@ def wp_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> flo
             f"combined support {m + n} exceeds {_MAX_SUPPORT}; "
             "use wp_1d for one-dimensional inputs"
         )
+    # imported here, after the checks, so that only an LP that runs pays for
+    # scipy (0.5 s, 48 MB)
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     cost = np.linalg.norm(xm[:, None, :] - xn[None, :, :], axis=2) ** p
     rows_mu = sp.kron(sp.eye(m), np.ones((1, n)), format="csr")
     rows_nu = sp.kron(np.ones((1, m)), sp.eye(n), format="csr")

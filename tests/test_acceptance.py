@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from conftest import grid_for, random_measure, random_osl_field
-from mtlab.flows import binomial_w1_exact, euler_flow, euler_step, exact_solution
+from mtlab.flows import (
+    EXAMPLES,
+    binomial_w1_exact,
+    euler_flow,
+    euler_step,
+    exact_solution,
+)
 from mtlab.harness import (
     StudyConfig,
     TriStudyConfig,
@@ -22,7 +28,7 @@ from mtlab.measures import CartesianGrid, DiscreteMeasure, moment, quantile
 from mtlab.schemes import SchemeSpec, node_coefficients, run
 from mtlab.simplex import barycentric, offdiagonal_mass, structured_mesh
 from mtlab.stochastic import increment_residual, make_kernels, propagate_law, sample_paths
-from mtlab.velocity import constant, example1
+from mtlab.velocity import constant
 from mtlab.wasserstein import (
     PiecewiseConstantDensity,
     indicator,
@@ -145,7 +151,7 @@ def test_07_scheme_chain_equivalence():
 def test_08_martingale_increments():
     grid = CartesianGrid(dx=(0.1,), dt=0.05)
     mu = DiscreteMeasure(grid, {(-5,): 1.0})
-    f = example1()
+    f = EXAMPLES["example1"].field
     steps = 20
     kernels = make_kernels(mu, SchemeSpec("upwind"), f, steps)
     batch = sample_paths(mu, kernels, 100_000, seed=2718)
@@ -351,7 +357,7 @@ def test_14_euler_flow_accuracy():
     ok = True
     worst = 0.0
     for dt in (1e-2, 1e-3):
-        flow = euler_flow(example1(), dt, np.array([[-0.5]]))
+        flow = euler_flow(EXAMPLES["example1"].field, dt, np.array([[-0.5]]))
         steps = int(round(2.0 / dt))
         for n in range(1, steps + 1):
             flow = euler_step(flow)

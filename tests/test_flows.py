@@ -16,7 +16,7 @@ from mtlab.flows import (
     quantile_of_analytic,
 )
 from mtlab.measures import dirac
-from mtlab.velocity import constant, example1, named_field
+from mtlab.velocity import constant
 from reference import reference_exact_measure, reference_quantile
 from test_wasserstein import random_analytic_1d
 
@@ -36,7 +36,7 @@ def test_euler_constant_field():
 
 
 def test_euler_two_speed_hand_steps():
-    flow = euler_flow(example1(), 0.25, np.array([[-0.5]]))
+    flow = euler_flow(EXAMPLES["example1"].field, 0.25, np.array([[-0.5]]))
     expect = [-0.25, 0.0, 0.125]
     for x in expect:
         flow = euler_step(flow)
@@ -44,7 +44,7 @@ def test_euler_two_speed_hand_steps():
 
 
 def test_euler_step_bounded_by_a_inf():
-    f = example1()
+    f = EXAMPLES["example1"].field
     flow = euler_flow(f, 0.2, np.array([[-1.0], [0.4]]))
     for _ in range(10):
         nxt = euler_step(flow)
@@ -64,7 +64,7 @@ def test_euler_flow_error_bound_vs_exact():
     sol = exact_solution("example1")
     for dt in (1e-2, 1e-3):
         steps = int(round(2.0 / dt))
-        flow = euler_flow(example1(), dt, np.array([[-0.5]]))
+        flow = euler_flow(EXAMPLES["example1"].field, dt, np.array([[-0.5]]))
         for n in range(1, steps + 1):
             flow = euler_step(flow)
             t = n * dt
@@ -72,14 +72,18 @@ def test_euler_flow_error_bound_vs_exact():
             assert err <= 3.0 * 1.0 * math.sqrt(t * dt) + 1e-14
 
 
-@pytest.mark.parametrize("example, seeds", [
-    ("example2", np.linspace(-1.0, 1.0, 17)),
-    ("example3", np.linspace(-1.0, 0.0, 17)),
-])
-def test_euler_flow_error_bound_vs_flow_map(example, seeds):
-    # the flow map of each datum, one seed at a time, against Euler
-    field = named_field(example)
-    flow = EXAMPLES[example][1]
+def seeds_across(datum):
+    """17 points across each piece of a 1-D datum, and its atoms."""
+    pieces = [np.linspace(a, b, 17) for a, b, _ in datum.pieces]
+    return np.concatenate(pieces + [np.array([x for (x,), _ in datum.atoms])])
+
+
+@pytest.mark.parametrize("example", list(EXAMPLES))
+def test_euler_flow_error_bound_vs_flow_map(example):
+    # the flow map of each datum, one seed at a time, against Euler under
+    # the entry's own field: the field and the flow must describe one motion
+    field, datum, flow = EXAMPLES[example]
+    seeds = seeds_across(datum)
     for dt in (1e-2, 1e-3):
         euler = euler_flow(field, dt, seeds[:, None])
         for n in range(1, int(round(2.5 / dt)) + 1):
@@ -94,7 +98,7 @@ def test_flow_lipschitz_pairs():
     # flows of OSL fields with modulus 0 are (1+eps)-Lipschitz for small dt
     dt = 1e-3
     seeds = np.array([[-1.0], [-0.6], [-0.1], [0.2], [0.9]])
-    flow = euler_flow(example1(), dt, seeds)
+    flow = euler_flow(EXAMPLES["example1"].field, dt, seeds)
     out = advance(flow, int(round(2.0 / dt)))
     for i in range(len(seeds)):
         for j in range(i + 1, len(seeds)):
@@ -136,8 +140,8 @@ def test_quantile_of_analytic_matches_reference():
 def test_slope_zero_collapses_a_piece_into_an_atom():
     # example3's front at t = 0.25: [-1, -0.25) moves at speed 2, [-0.25, 0)
     # has met the front and sits at t in one atom of its mass
-    flow = EXAMPLES["example3"][1]
-    rows = push_forward(EXAMPLES["example3"][0], flow(0.25))
+    _, datum, flow = EXAMPLES["example3"]
+    rows = push_forward(datum, flow(0.25))
     assert rows == [(-0.5, 0.25, 0.75), (0.25, 0.25, 0.25)]
     with pytest.raises(ValueError, match="nonnegative"):
         exact_solution("example3").measure(-0.1)

@@ -52,6 +52,10 @@ def test_config_validation():
     StudyConfig(distance="wp(2)")
     with pytest.raises(ConfigError):
         config_from_mapping({"bogus": 1})
+    # the keys are the config's fields: all of them, and not the derived order
+    assert config_from_mapping(asdict(StudyConfig(seed=3))) == StudyConfig(seed=3)
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        config_from_mapping({"order": 1.0})
 
 
 @pytest.mark.parametrize("make, field, value", [
@@ -500,6 +504,24 @@ def test_cli_distance_rejects_bad_tables(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "measure" in captured.err and "Traceback" not in captured.err
+
+
+def test_cli_distance_refuses_tables_too_large_for_the_lp(tmp_path, capsys):
+    # two d = 2 tables of 2,601 nodes each: 5,202 > the LP's 5,000
+    from mtlab.measures import CartesianGrid, DiscreteMeasure, serialize
+
+    g = CartesianGrid(dx=(0.5, 0.5), dt=0.25)
+    paths = []
+    for shift in (0, 3):
+        mu = DiscreteMeasure(g, {(i + shift, j): 1.0 / 2601
+                                 for i in range(51) for j in range(51)})
+        paths.append(tmp_path / f"m{shift}.txt")
+        paths[-1].write_text(serialize(mu))
+    assert cli.main(["distance", *map(str, paths)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("I/O error: combined support 5202 exceeds")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_cli_distance(tmp_path, capsys):

@@ -1,13 +1,18 @@
-"""Every name a module of mtlab imports is used in that module.
+"""Lint checks on the sources of mtlab, written with `ast`.
 
-No linter ships with the project, so this is its unused-import check.
-`__init__.py` is left out: its imports are the package's re-exports.
+No linter ships with the project, so these are its checks:
+- every name a module imports is used in that module (`__init__.py` is left
+  out: its imports are the package's re-exports);
+- no module but `flows.py` compares a value with the name of a built-in
+  example, so that `flows.EXAMPLES` stays the one list of the examples.
 """
 
 import ast
 import pathlib
 
 import pytest
+
+from mtlab.flows import EXAMPLES
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mtlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -38,3 +43,33 @@ def test_unused_import_check_flags_an_unused_name():
     source = ("import math\nimport os.path\nfrom typing import Iterable, Sequence\n"
               "def f(x: Sequence) -> float:\n    return math.pi + os.sep\n")
     assert unused_imports(source) == ["line 3: Iterable"]
+
+
+def example_name_comparisons(source: str) -> list[str]:
+    """Comparisons in which a string literal names an entry of EXAMPLES,
+    alone or inside a literal tuple, list or set; a default value such as
+    `example: str = "example1"` is no comparison."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                found += [f"line {node.lineno}: {c.value!r}" for c in ast.walk(operand)
+                          if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                          and c.value in EXAMPLES]
+    return found
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "flows.py"],
+                         ids=lambda p: p.name)
+def test_module_leaves_example_names_to_flows(path):
+    assert example_name_comparisons(path.read_text()) == []
+
+
+def test_example_name_check_flags_a_comparison():
+    source = ('example: str = "example1"\n'
+              'if name == "example2" or name in ("binomial", "other"):\n'
+              '    pass\n'
+              'if name not in EXAMPLES or name == "example9":\n'
+              '    pass\n')
+    assert example_name_comparisons(source) == ["line 2: 'example2'",
+                                                "line 2: 'binomial'"]

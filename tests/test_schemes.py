@@ -6,7 +6,7 @@ import pytest
 from conftest import grid_for, random_measure, random_osl_field
 from mtlab.measures import CartesianGrid, DiscreteMeasure, dirac, moment, project_initial
 from mtlab.schemes import CflError, SchemeSpec, check_cfl, node_coefficients, run, step
-from mtlab.velocity import constant, example1
+from mtlab.velocity import constant
 
 
 def binomial_setup(steps=0):

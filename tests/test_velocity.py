@@ -4,17 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import grid_for, random_osl_field
+from mtlab.flows import EXAMPLES
 from mtlab.measures import CartesianGrid
 from mtlab.schemes import node_velocity
-from mtlab.velocity import (
-    VelocityField,
-    constant,
-    example1,
-    example2,
-    example3,
-    named_field,
-    osl_probe,
-)
+from mtlab.velocity import VelocityField, constant, osl_probe
 
 
 def velocity_at(f, n, J, g):
@@ -33,7 +26,7 @@ def test_averaged_velocity_constant_field():
 
 def test_averaged_velocity_two_speed_field():
     g = CartesianGrid(dx=(0.25,), dt=0.1)
-    f = example1()
+    f = EXAMPLES["example1"].field
     # x = -0.5, x = 0.25, and the right value at the jump x = 0
     a = node_velocity(f, 0, np.array([[-2], [1], [0]]), g)
     assert a[:, 0].tolist() == [1.0, 0.5, 0.5]
@@ -53,7 +46,7 @@ def test_averaged_velocity_time_affine_quadrature():
 
 
 def test_time_lipschitz_uses_left_endpoint():
-    f = example3()
+    f = EXAMPLES["example3"].field
     g = CartesianGrid(dx=(0.25,), dt=0.25)
     # at t^n = 0.5 the front sits at 0.5; node 0.25 is left of it -> speed 2
     assert velocity_at(f, 2, (1,), g) == 2.0
@@ -62,7 +55,7 @@ def test_time_lipschitz_uses_left_endpoint():
 def test_osl_probe_signs():
     box = (np.array([-2.0]), np.array([2.0]))
     assert osl_probe(constant(0.7), 2000, box, rng_seed=1) <= 0.0
-    assert osl_probe(example1(), 2000, box, rng_seed=2) <= 0.0
+    assert osl_probe(EXAMPLES["example1"].field, 2000, box, rng_seed=2) <= 0.0
 
     increasing = VelocityField(lambda t, x: np.asarray(x, dtype=float),
                                a_inf=2.0)
@@ -90,8 +83,8 @@ def test_osl_probe_matches_a_per_pair_reference():
 
 def test_builtin_fields_pass_osl_probe_at_scale():
     box = (np.array([-2.5]), np.array([2.5]))
-    for f in (example1(), example2(), example3(), constant(1.0)):
-        assert osl_probe(f, 100_000, box, rng_seed=7) <= 0.0
+    for example in EXAMPLES.values():
+        assert osl_probe(example.field, 100_000, box, rng_seed=7) <= 0.0
 
 
 def test_averaged_velocity_bounded_by_a_inf():
@@ -105,13 +98,10 @@ def test_averaged_velocity_bounded_by_a_inf():
         assert float(np.linalg.norm(a, axis=1).max()) <= f.a_inf + 1e-12
 
 
-def test_named_field_lookup():
-    assert named_field("example1").name == "example1"
-    assert named_field("example3").a_inf == 2.0
-    assert named_field("binomial").a_inf == 1.0
-    f = named_field("constant(0.25)")
+def test_constant_field_takes_its_dimension_from_its_values():
+    f = constant(0.25)
+    assert f.dims == 1 and f.a_inf == 0.25
     assert f(0.0, np.array([1.0]))[0] == 0.25
-    f2 = named_field("constant(1.0,0.5)")
-    assert f2.dims == 2 and f2.a_inf == pytest.approx(math.sqrt(1.25))
-    with pytest.raises(KeyError):
-        named_field("nope")
+    f2 = constant([1.0, 1.0])
+    assert f2.dims == 2 and f2.a_inf == pytest.approx(math.sqrt(2.0))
+    assert f2(0.0, np.zeros((3, 2))).tolist() == [[1.0, 1.0]] * 3
