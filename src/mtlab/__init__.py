@@ -43,9 +43,7 @@ from .flows import (
 )
 from .velocity import VelocityField, constant
 from .wasserstein import (
-    PiecewiseConstantDensity,
     bv_seminorm,
-    indicator,
     interpolation_check,
     l1_distance,
     w1_pair,

@@ -25,7 +25,7 @@ from .harness import (
     run_study,
     run_tri_study,
 )
-from .measures import deserialize, project_initial, serialize
+from .measures import deserialize, project_initial, serialize, uniform
 from .schemes import CflError, SchemeSpec, run as run_scheme
 from .stochastic import (
     empirical_law,
@@ -38,7 +38,6 @@ from .stochastic import (
 from .wasserstein import (
     ScaleError,
     check_order,
-    indicator,
     interpolation_check,
     w1_pair,
 )
@@ -216,11 +215,13 @@ def _cmd_interp_check(args) -> int:
     shifts = _numbers(args.eps, float, "--eps")
     if not all(map(math.isfinite, shifts + (args.bound,))):
         raise ConfigError(f"non-finite --eps {args.eps!r} or --bound {args.bound!r}")
+    for eps in shifts:
+        if not 1.0 + eps > eps:
+            raise ConfigError(f"--eps {eps!r}: [eps, 1 + eps) is empty in floating point")
     worst = 0.0
     for eps in shifts:
-        f = indicator(0.0, 1.0)
-        g = indicator(eps, 1.0 + eps)
-        ratio, ok = interpolation_check(f, g, args.bound)
+        ratio, ok = interpolation_check(uniform(0.0, 1.0), uniform(eps, 1.0 + eps),
+                                        args.bound)
         worst = max(worst, ratio)
         print(f"eps={eps!r} ratio={ratio!r} within_bound={ok}")
     print(f"max ratio {worst!r}")

@@ -16,12 +16,20 @@ import numpy as np
 
 MultiIndex = tuple[int, ...]
 
-# mass-defect tolerance: 10 eps per support point, see DiscreteMeasure
 _EPS = np.finfo(float).eps
 
 
 class DimensionError(ValueError):
     """Operation requires a specific grid dimension."""
+
+
+def check_mass_defect(defect: float, n: int) -> None:
+    """ValueError when a mass spread over n weights moved by `defect`, more
+    than 10 eps per weight: the one mass tolerance of the measures, the grid
+    steps and the semi-Lagrangian steps."""
+    tol = 10.0 * _EPS * max(n, 1)
+    if defect > tol:
+        raise ValueError(f"mass defect {defect:.3e} exceeds {tol:.3e}")
 
 
 @dataclass(frozen=True)
@@ -97,9 +105,7 @@ class DiscreteMeasure:
         return abs(self.mass() - 1.0)
 
     def check_mass(self) -> None:
-        tol = 10.0 * _EPS * max(len(self.weights), 1)
-        if self.mass_defect() > tol:
-            raise ValueError(f"mass defect {self.mass_defect():.3e} exceeds {tol:.3e}")
+        check_mass_defect(self.mass_defect(), len(self.weights))
 
     def support(self) -> list[MultiIndex]:
         return sorted(self.weights)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _EPS, CartesianGrid, DiscreteMeasure, MultiIndex
+from .measures import CartesianGrid, DiscreteMeasure, MultiIndex, check_mass_defect
 from .velocity import VelocityField
 
 KNOWN_SCHEMES = ("upwind", "rusanov")
@@ -204,10 +204,7 @@ def apply_window(
         box[inner[:i] + (slice(None, -2),) + inner[i + 1:]] += moved[2 + 2 * i]
     if np.minimum.reduce(box, axis=None) < 0.0:
         raise ValueError(f"negative weight {box.min()!r} after the step")
-    defect = abs(float(np.add.reduce(box, axis=None)) - 1.0)
-    tol = 10.0 * _EPS * max(weights.size, 1)
-    if defect > tol:
-        raise ValueError(f"mass defect {defect:.3e} exceeds {tol:.3e}")
+    check_mass_defect(abs(float(np.add.reduce(box, axis=None)) - 1.0), weights.size)
     return lo - 1, box
 
 

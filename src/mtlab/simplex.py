@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _EPS
+from .measures import check_mass_defect
 from .schemes import CflError, CflReport
 from .stochastic import check_rows
 from .velocity import VelocityField
@@ -222,10 +222,7 @@ def _scatter(
     rounding of the weights."""
     out = np.bincount(dest.ravel(), weights=(w[:, None] * lam).ravel())
     nz = np.flatnonzero(out)
-    defect = abs(math.fsum(out[nz]) - math.fsum(w))
-    tol = 10.0 * _EPS * max(len(w), 1)
-    if defect > tol:
-        raise ValueError(f"mass defect {defect:.3e} exceeds {tol:.3e}")
+    check_mass_defect(abs(math.fsum(out[nz]) - math.fsum(w)), len(w))
     return nz, out[nz]
 
 

@@ -6,20 +6,24 @@ finite p >= 1: quantile functions are held as arrays, the breakpoints of one
 side are inserted into the other's in O(m + k log m), and |u|^p of the
 affine difference is integrated in closed form on all merged intervals at
 once, in a form that does not cancel when the endpoint magnitudes are
-close.  `l1_grid_vs_pieces` is the one 1D L1 distance.  In d >= 2 the
-discrete-discrete distance is an exact optimal-transport linear program on
-the bipartite support graph (`wp_discrete`), solved with scipy's HiGHS; that
-function imports scipy on its first call, so importing mtlab and every 1D
-distance run without it.
+close.  1D densities are `AnalyticMeasure` pieces (lo, hi, height), and
+there are two L1 rules on them: `l1_grid_vs_pieces` compares a grid window
+with pieces (the studies), and `_difference` merges two piece lists into
+one step function, which gives the L1 distance and the BV seminorm of the
+interpolation check ||f-g||_L1 <= |f-g|_BV^(1/2) W_1(f,g)^(1/2).  In d >= 2
+the discrete-discrete distance is an exact optimal-transport linear program
+on the bipartite support graph (`wp_discrete`), solved with scipy's HiGHS;
+that function imports scipy on its first call, so importing mtlab and every
+1D distance run without it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .flows import quantile_of_analytic
 from .measures import (
     AnalyticMeasure,
     CartesianGrid,
@@ -132,8 +136,8 @@ def wp_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> flo
     m, n = len(wm), len(wn)
     if m + n > _MAX_SUPPORT:
         raise ScaleError(
-            f"combined support {m + n} exceeds {_MAX_SUPPORT}; "
-            "use wp_1d for one-dimensional inputs"
+            f"combined support {m + n} exceeds {_MAX_SUPPORT}, the most nodes "
+            "the exact transport LP takes"
         )
     # imported here, after the checks, so that only an LP that runs pays for
     # scipy (0.5 s, 48 MB)
@@ -160,101 +164,72 @@ def w1_pair(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> float:
     return wp_discrete(mu, nu, p)
 
 
-@dataclass(frozen=True)
-class PiecewiseConstantDensity:
-    """Compactly supported piecewise-constant density: values between
-    consecutive breakpoints, zero outside."""
-
-    breaks: tuple[float, ...]
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.values) != len(self.breaks) - 1:
-            raise ValueError("need one value per interval")
-        if any(b >= c for b, c in zip(self.breaks, self.breaks[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-
-    def mass(self) -> float:
-        return math.fsum(
-            v * (b - a) for a, b, v in zip(self.breaks, self.breaks[1:], self.values)
-        )
-
-    def __call__(self, x: float) -> float:
-        for a, b, v in zip(self.breaks, self.breaks[1:], self.values):
-            if a <= x < b:
-                return v
-        return 0.0
-
-    def as_measure(self) -> AnalyticMeasure:
-        pieces = tuple(
-            (a, b, v)
-            for a, b, v in zip(self.breaks, self.breaks[1:], self.values)
-            if v != 0.0
-        )
-        return AnalyticMeasure(dims=1, pieces=pieces)
+def _density_pieces(m: AnalyticMeasure) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lo, hi and height arrays of a 1-D density; ValueError unless it has
+    no atoms and its pieces are finite, nonempty, in order, disjoint and of
+    nonnegative height."""
+    if m.dims != 1 or m.atoms:
+        raise ValueError("need a 1-D density without atoms")
+    lo, hi, h = np.array(m.pieces, dtype=float).reshape(-1, 3).T
+    if not (np.isfinite([lo, hi]).all() and (lo < hi).all()):
+        raise ValueError("each piece needs finite ends lo < hi")
+    if not (h >= 0.0).all():
+        raise ValueError("densities must be nonnegative")
+    if (lo[1:] < hi[:-1]).any():
+        raise ValueError("pieces must be in order and disjoint")
+    return lo, hi, h
 
 
-def indicator(lo: float, hi: float, height: float = 1.0) -> PiecewiseConstantDensity:
-    return PiecewiseConstantDensity((lo, hi), (height,))
+def _difference(f, g) -> tuple[np.ndarray, np.ndarray]:
+    """Merged breakpoints xs of two densities given as lo, hi and height
+    arrays, and f - g on each interval [xs[i], xs[i+1]).
+
+    Each side's height is read at the interval's left end, which lies in the
+    same half-open piece as the whole interval, so f == g gives exact zeros.
+    """
+    xs = np.unique(np.concatenate([f[0], f[1], g[0], g[1]]))
+    a = xs[:-1]
+
+    def height(lo, hi, h):
+        k = lo.searchsorted(a, side="right") - 1
+        # k = -1 (left of every piece) reads the appended empty piece
+        return np.where(a < np.append(hi, -np.inf)[k], np.append(h, 0.0)[k], 0.0)
+
+    return xs, height(*f) - height(*g)
 
 
-def _merge_densities(
-    f: PiecewiseConstantDensity, g: PiecewiseConstantDensity
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xs = np.array(sorted(set(f.breaks) | set(g.breaks)))
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    fv = np.array([f(x) for x in mids])
-    gv = np.array([g(x) for x in mids])
-    return xs, fv, gv
+def _variation(d: np.ndarray) -> float:
+    """Sum of the absolute jumps of a step function with values d, the jumps
+    from and to 0 at its two ends included."""
+    return float(np.abs(np.diff(d, prepend=0.0, append=0.0)).sum())
 
 
-def l1_densities(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity) -> float:
-    xs, fv, gv = _merge_densities(f, g)
-    return float(np.abs(fv - gv) @ np.diff(xs))
-
-
-def bv_seminorm(f: PiecewiseConstantDensity) -> float:
-    """Total variation: sum of absolute jumps, boundary drops to 0 included."""
-    padded = np.concatenate([[0.0], np.asarray(f.values), [0.0]])
-    return float(np.abs(np.diff(padded)).sum())
-
-
-def bv_of_difference(
-    f: PiecewiseConstantDensity, g: PiecewiseConstantDensity
-) -> float:
-    xs, fv, gv = _merge_densities(f, g)
-    padded = np.concatenate([[0.0], fv - gv, [0.0]])
-    return float(np.abs(np.diff(padded)).sum())
-
-
-def w1_densities(f: PiecewiseConstantDensity, g: PiecewiseConstantDensity) -> float:
-    from .flows import quantile_of_analytic
-
-    return wp_1d(quantile_of_analytic(f.as_measure()),
-                 quantile_of_analytic(g.as_measure()), 1.0)
+def bv_seminorm(m: AnalyticMeasure) -> float:
+    """Total variation of a 1-D density: the sum of its absolute jumps, the
+    drops to 0 at the ends of its pieces included."""
+    return _variation(_difference(_density_pieces(m), (np.empty(0),) * 3)[1])
 
 
 def interpolation_check(
-    f: PiecewiseConstantDensity, g: PiecewiseConstantDensity, c: float
+    f: AnalyticMeasure, g: AnalyticMeasure, c: float
 ) -> tuple[float, bool]:
     """Ratio ||f-g||_L1 / (|f-g|_BV^(1/2) W_1(f,g)^(1/2)) and whether <= c.
 
-    Both inputs must be nonnegative probability densities; the ratio is 0
-    when f == g.
+    Both inputs must be 1-D probability densities (see `_density_pieces`;
+    mass 1 within 1e-10), else ValueError; the ratio is 0 when f == g.
     """
-    for dens in (f, g):
-        if any(v < 0.0 for v in dens.values):
-            raise ValueError("densities must be nonnegative")
-        if abs(dens.mass() - 1.0) > 1e-10:
-            raise ValueError("densities must have mass 1")
-    l1 = l1_densities(f, g)
+    sides = [_density_pieces(f), _density_pieces(g)]
+    if abs(f.mass() - 1.0) > 1e-10 or abs(g.mass() - 1.0) > 1e-10:
+        raise ValueError("densities must have mass 1")
+    xs, d = _difference(*sides)
+    l1 = float(np.abs(d) @ np.diff(xs))
     if l1 == 0.0:
         return 0.0, True
-    bv = bv_of_difference(f, g)
+    bv = _variation(d)
     if bv == 0.0:
         # unreachable for distinct piecewise constants; guarded anyway
         return math.inf, False
-    w1 = w1_densities(f, g)
+    w1 = wp_1d(quantile_of_analytic(f), quantile_of_analytic(g), 1.0)
     ratio = l1 / math.sqrt(bv * w1)
     return ratio, ratio <= c
 

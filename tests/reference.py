@@ -13,6 +13,12 @@ earlier vectorized W_1 of a grid window against a quantile function, and
 `reference_l1_distance` sums cell by cell; `mtlab.wasserstein` is tested
 against them.
 
+`reference_interpolation` reads two 1D densities at the midpoints of their
+merged breakpoints, one point at a time, and gives the L1 distance, the BV
+seminorm of the difference and the interpolation ratio; `reference_bv` is
+the same rule for one density.  `mtlab.wasserstein`'s interpolation check
+and BV seminorm are tested against them.
+
 `reference_tri_error` is the triangulated study's resolution loop on node
 measures: a `sl_step` per step, the pruned weights dropped by a dict
 comprehension, and W_1 to the Dirac summed over a weight list rebuilt from
@@ -232,6 +238,42 @@ def reference_l1_distance(mu, nu, grid):
         exact = sum(h for lo, hi, h in nu.pieces if lo <= mid < hi)
         acc.append(abs(num - exact) * (b - a))
     return math.fsum(acc)
+
+
+def _density_at(m, x):
+    for lo, hi, h in m.pieces:
+        if lo <= x < hi:
+            return h
+    return 0.0
+
+
+def _merged_difference(f, g):
+    """Merged breakpoints of two densities and f - g at each interval's
+    midpoint."""
+    xs = sorted({x for lo, hi, _ in f.pieces + g.pieces for x in (lo, hi)})
+    mids = [0.5 * (a + b) for a, b in zip(xs[:-1], xs[1:])]
+    return xs, [_density_at(f, x) - _density_at(g, x) for x in mids]
+
+
+def _jumps(d):
+    return math.fsum(abs(b - a) for a, b in zip([0.0, *d], [*d, 0.0]))
+
+
+def reference_bv(m):
+    """Total variation of a 1D density, its drops to 0 included."""
+    return _jumps(_merged_difference(m, AnalyticMeasure(dims=1))[1])
+
+
+def reference_interpolation(f, g):
+    """(L1, BV of f - g, ratio L1 / sqrt(BV W_1)) of two 1D densities; the
+    ratio is 0 when L1 is."""
+    xs, d = _merged_difference(f, g)
+    l1 = math.fsum(abs(v) * (b - a) for v, a, b in zip(d, xs[:-1], xs[1:]))
+    bv = _jumps(d)
+    if l1 == 0.0:
+        return l1, bv, 0.0
+    w1 = reference_wp_1d(reference_quantile(f), reference_quantile(g))
+    return l1, bv, l1 / math.sqrt(bv * w1)
 
 
 def reference_tri_error(cfg, N):

@@ -8,7 +8,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from conftest import grid_for, random_measure, random_osl_field
 from mtlab.flows import (
@@ -24,18 +23,19 @@ from mtlab.harness import (
     run_study,
     run_tri_study,
 )
-from mtlab.measures import CartesianGrid, DiscreteMeasure, moment, quantile
+from mtlab.measures import (
+    AnalyticMeasure,
+    CartesianGrid,
+    DiscreteMeasure,
+    moment,
+    quantile,
+    uniform,
+)
 from mtlab.schemes import SchemeSpec, node_coefficients, run
 from mtlab.simplex import barycentric, offdiagonal_mass, structured_mesh
 from mtlab.stochastic import increment_residual, make_kernels, propagate_law, sample_paths
 from mtlab.velocity import constant
-from mtlab.wasserstein import (
-    PiecewiseConstantDensity,
-    indicator,
-    interpolation_check,
-    wp_1d,
-    wp_discrete,
-)
+from mtlab.wasserstein import interpolation_check, wp_1d, wp_discrete
 
 
 def report(num, desc, ok, detail=""):
@@ -325,7 +325,7 @@ def test_13_interpolation_inequality():
     for k in range(1, 21):
         eps = 2.0 ** (-k)
         ratio, within = interpolation_check(
-            indicator(0.0, 1.0), indicator(eps, 1.0 + eps), 1.0
+            uniform(0.0, 1.0), uniform(eps, 1.0 + eps), 1.0
         )
         worst_dev = max(worst_dev, abs(ratio - math.sqrt(eps)))
         ok = ok and within
@@ -341,7 +341,8 @@ def test_13_interpolation_inequality():
             if mass <= 1e-9:
                 vals = np.ones_like(vals)
                 mass = float(np.dot(vals, np.diff(cuts)))
-            return PiecewiseConstantDensity(tuple(cuts), tuple(vals / mass))
+            return AnalyticMeasure(
+                dims=1, pieces=tuple(zip(cuts[:-1], cuts[1:], vals / mass)))
 
         f, g = rand_density(), rand_density()
         ratio, _ = interpolation_check(f, g, math.inf)

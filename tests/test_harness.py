@@ -521,6 +521,7 @@ def test_cli_distance_refuses_tables_too_large_for_the_lp(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("I/O error: combined support 5202 exceeds")
+    assert "wp_1d" not in captured.err  # both tables are 2-D
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
@@ -591,6 +592,7 @@ def test_one_resolution_fits_no_slope(capsys, argv):
     ["interp-check", "--bound", "inf"],
     ["run", "--T", "0.001", "--N", "100"],  # no step
     ["mc-compare", "--T", "0.001"],
+    ["interp-check", "--eps", "0.5,1e17"],  # [eps, 1 + eps) is empty
 ])
 def test_cli_bad_study_config_exits_2(capsys, argv):
     assert cli.main(argv) == 2

@@ -1,8 +1,9 @@
 """Lint checks on the sources of mtlab, written with `ast`.
 
 No linter ships with the project, so these are its checks:
-- every name a module imports is used in that module (`__init__.py` is left
-  out: its imports are the package's re-exports);
+- every name a module of mtlab, a script or a test module imports is used in
+  that module (`__init__.py` is left out: its imports are the package's
+  re-exports);
 - no module but `flows.py` compares a value with the name of a built-in
   example, so that `flows.EXAMPLES` stays the one list of the examples.
 """
@@ -14,8 +15,11 @@ import pytest
 
 from mtlab.flows import EXAMPLES
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "mtlab"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mtlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS_AND_TESTS = sorted([*(ROOT / "scripts").glob("*.py"),
+                            *(ROOT / "tests").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,7 +38,9 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + SCRIPTS_AND_TESTS,
+    ids=lambda p: p.name if p.parent == SRC else f"{p.parent.name}/{p.name}")
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 

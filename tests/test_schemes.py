@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import grid_for, random_measure, random_osl_field
-from mtlab.measures import CartesianGrid, DiscreteMeasure, dirac, moment, project_initial
+from mtlab.measures import CartesianGrid, DiscreteMeasure, moment
 from mtlab.schemes import CflError, SchemeSpec, check_cfl, node_coefficients, run, step
 from mtlab.velocity import constant
 

@@ -19,13 +19,12 @@ from mtlab.measures import (
     uniform,
 )
 from mtlab.wasserstein import (
-    PiecewiseConstantDensity,
     ScaleError,
-    bv_of_difference,
+    _density_pieces,
+    _difference,
+    _variation,
     bv_seminorm,
-    indicator,
     interpolation_check,
-    l1_densities,
     l1_distance,
     l1_grid_vs_pieces,
     w1_pair,
@@ -33,7 +32,13 @@ from mtlab.wasserstein import (
     wp_discrete,
 )
 from mtlab.flows import quantile_of_analytic
-from reference import reference_l1_distance, reference_w1_grid, reference_wp_1d
+from reference import (
+    reference_bv,
+    reference_interpolation,
+    reference_l1_distance,
+    reference_w1_grid,
+    reference_wp_1d,
+)
 
 
 GRID = CartesianGrid(dx=(0.5,), dt=0.25)
@@ -234,32 +239,102 @@ def test_l1_distance_examples():
         l1_distance(mu, dirac((0.0,)), g)
 
 
+def density(*pieces):
+    return AnalyticMeasure(dims=1, pieces=pieces)
+
+
 def test_bv_seminorm_examples():
-    assert bv_seminorm(indicator(0.0, 1.0)) == 2.0
-    two_level = PiecewiseConstantDensity((0.0, 0.5, 1.0), (2.0, 1.0))
-    assert bv_seminorm(two_level) == 4.0
-    assert bv_seminorm(PiecewiseConstantDensity((0.0, 1.0), (0.0,))) == 0.0
+    assert bv_seminorm(uniform(0.0, 1.0)) == 2.0
+    assert bv_seminorm(density((0.0, 0.5, 2.0), (0.5, 1.0, 1.0))) == 4.0
+    assert bv_seminorm(density((0.0, 1.0, 0.0))) == 0.0
+    assert bv_seminorm(density((0.0, 1.0, 0.5), (2.0, 3.0, 0.5))) == 2.0
+    assert bv_seminorm(density()) == 0.0
 
 
 def test_interpolation_translation_family():
     for eps in (0.5, 0.25, 0.125):
-        f = indicator(0.0, 1.0)
-        g = indicator(eps, 1.0 + eps)
-        assert l1_densities(f, g) == pytest.approx(2 * eps, abs=1e-14)
-        assert bv_of_difference(f, g) == pytest.approx(4.0)
+        f = uniform(0.0, 1.0)
+        g = uniform(eps, 1.0 + eps)
+        xs, d = _difference(_density_pieces(f), _density_pieces(g))
+        assert np.abs(d) @ np.diff(xs) == pytest.approx(2 * eps, abs=1e-14)
+        assert _variation(d) == pytest.approx(4.0)
         ratio, ok = interpolation_check(f, g, 1.0)
         assert ok and ratio == pytest.approx(math.sqrt(eps), abs=1e-12)
 
 
 def test_interpolation_identity_and_validation():
-    f = indicator(0.0, 1.0)
+    f = uniform(0.0, 1.0)
     assert interpolation_check(f, f, 1.0) == (0.0, True)
-    with pytest.raises(ValueError):
-        interpolation_check(f, indicator(0.0, 2.0), 1.0)  # mass 2
-    with pytest.raises(ValueError):
-        interpolation_check(
-            f, PiecewiseConstantDensity((0.0, 0.5, 1.0), (3.0, -1.0)), 1.0
-        )
+    refused = [
+        (AnalyticMeasure(dims=2), "1-D density"),
+        (AnalyticMeasure(dims=2, atoms=(((0.0, 0.0), 1.0),)), "1-D density"),
+        (AnalyticMeasure(dims=1, atoms=(((0.5,), 0.5),), pieces=((0.0, 0.5, 1.0),)),
+         "without atoms"),
+        (density((1.0, 0.0, -1.0)), "lo < hi"),
+        (density((0.0, 0.0, 1.0), (0.0, 1.0, 1.0)), "lo < hi"),
+        (density((0.0, math.inf, 0.0)), "finite ends"),
+        (density((-math.inf, 0.0, 0.0), (0.0, 1.0, 1.0)), "finite ends"),
+        (density((math.nan, 1.0, 1.0)), "finite ends"),
+        (density((0.0, 0.5, 3.0), (0.5, 1.0, -1.0)), "nonnegative"),
+        (density((0.0, 1.0, math.nan)), "nonnegative"),
+        (density((0.5, 1.0, 1.0), (0.0, 0.5, 1.0)), "in order and disjoint"),
+        (density((0.0, 0.75, 2.0 / 3.0), (0.25, 1.0, 2.0 / 3.0)),
+         "in order and disjoint"),
+        (density((0.0, 2.0, 1.0)), "mass 1"),
+        (density(), "mass 1"),
+        (density((0.0, 1.0, 1.0 + 1e-9)), "mass 1"),
+    ]
+    for bad, match in refused:
+        for pair in ((f, bad), (bad, f)):
+            with pytest.raises(ValueError, match=match):
+                interpolation_check(*pair, 1.0)
+
+
+def random_density(rng, lo, hi, cuts=()):
+    """Pieces between sorted random cuts (and the given ones) in [lo, hi],
+    some of them left out (gaps) or of height 0, scaled to mass 1."""
+    cuts = np.unique(np.concatenate([rng.uniform(lo, hi, size=int(rng.integers(2, 7))),
+                                     cuts]))
+    pieces = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        r = rng.random()
+        if r >= 0.25:  # else a gap
+            pieces.append((a, b, 0.0 if r < 0.4 else rng.uniform(0.1, 2.0)))
+    if not pieces or all(h == 0.0 for _, _, h in pieces):
+        pieces = [(cuts[0], cuts[-1], 1.0)]
+    mass = math.fsum(h * (b - a) for a, b, h in pieces)
+    return density(*[(a, b, h / mass) for a, b, h in pieces])
+
+
+def test_interpolation_check_and_bv_match_the_pointwise_reference():
+    rng = np.random.default_rng(2020)
+    kinds = {"overlapping": 0, "shared edges": 0, "disjoint": 0, "equal": 0}
+    for _ in range(2000):
+        f = random_density(rng, -2.0, 2.0)
+        r = rng.random()
+        if r < 0.3:  # g reuses some of f's breakpoints
+            edges = [x for lo, hi, _ in f.pieces for x in (lo, hi)]
+            g = random_density(rng, -1.0, 3.0, rng.choice(edges, size=2))
+            kind = "shared edges"
+        elif r < 0.5:
+            g = random_density(rng, 2.5, 4.0)
+            kind = "disjoint"
+        elif r < 0.55:
+            g = f
+            kind = "equal"
+        else:
+            g = random_density(rng, -1.0, 3.0)
+            kind = "overlapping"
+        kinds[kind] += 1
+        want_l1, want_bv, want = reference_interpolation(f, g)
+        ratio, ok = interpolation_check(f, g, 1.5)
+        assert ratio == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert ok == (ratio <= 1.5)
+        xs, d = _difference(_density_pieces(f), _density_pieces(g))
+        assert np.abs(d) @ np.diff(xs) == pytest.approx(want_l1, rel=1e-12, abs=0.0)
+        assert _variation(d) == pytest.approx(want_bv, rel=1e-12, abs=0.0)
+        assert bv_seminorm(f) == pytest.approx(reference_bv(f), rel=1e-12, abs=0.0)
+    assert min(kinds.values()) >= 50
 
 
 ORDERS = (1.0, 1.5, 2.0, 3.5)
