@@ -33,7 +33,6 @@ from .stochastic import (
 )
 from .flows import (
     ExactSolution,
-    binomial_w1_bruteforce,
     binomial_w1_exact,
     central_binomial_ratio,
     euler_flow,
@@ -54,7 +53,6 @@ from .simplex import (
     NodeMeasure,
     TriMesh,
     barycentric,
-    parse_mesh,
     sl_kernel,
     sl_run,
     sl_step,

@@ -216,8 +216,12 @@ def _cmd_interp_check(args) -> int:
     if not all(map(math.isfinite, shifts + (args.bound,))):
         raise ConfigError(f"non-finite --eps {args.eps!r} or --bound {args.bound!r}")
     for eps in shifts:
-        if not 1.0 + eps > eps:
-            raise ConfigError(f"--eps {eps!r}: [eps, 1 + eps) is empty in floating point")
+        # a shift so large that 1 + eps rounds changes the width of the
+        # shifted density, so the check would read a different density
+        width = (1.0 + eps) - eps
+        if abs(width - 1.0) > 1e-9:
+            raise ConfigError(f"--eps {eps!r}: [eps, 1 + eps) has width {width!r}, "
+                              "not 1, in floating point")
     worst = 0.0
     for eps in shifts:
         ratio, ok = interpolation_check(uniform(0.0, 1.0), uniform(eps, 1.0 + eps),

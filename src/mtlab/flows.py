@@ -220,10 +220,3 @@ def binomial_w1_exact(k: int, dx: float) -> float:
     if not (dx > 0.0):
         raise ValueError("dx must be positive")
     return k * dx * central_binomial_ratio(k)
-
-
-def binomial_w1_bruteforce(k: int, dx: float) -> float:
-    """Direct sum over the binomial weights; oracle for small k."""
-    n = 2 * k
-    weights = [math.comb(n, j) * 0.5 ** n for j in range(n + 1)]
-    return math.fsum(w * abs(j * dx - k * dx) for j, w in enumerate(weights))

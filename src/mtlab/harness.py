@@ -9,7 +9,8 @@ index, weight array) with the scheme engine of `mtlab.schemes`, trimmed to its
 nonzero range after each step; for a field constant in time the transition
 rows are computed once, on every node the run can reach.  A triangulated study
 advances node ids and weights with `simplex.sl_push`, pruned under a fixed
-budget of dropped mass.
+budget of dropped mass.  `CERTIFIED` is the one table of the studies that
+certify the paper's claims, each with the window its fitted order must lie in.
 
 The resolutions of a ladder are independent runs from the same datum, so
 `run_study` (grid studies) runs them in parallel: the calling process and a
@@ -41,6 +42,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -532,3 +534,34 @@ def run_tri_study(cfg: TriStudyConfig) -> ConvergenceReport:
     (about 0.26 s to 0.29 s on two CPUs).
     """
     return _fit_report(cfg, tuple(run_resolution(cfg, N) for N in cfg.ladder))
+
+
+class Certified(NamedTuple):
+    """A certified study: its config, the window [lo, hi] its fitted order
+    must lie in, the claim it certifies, and the runner of its config."""
+
+    config: StudyConfig | TriStudyConfig
+    window: tuple[float, float]
+    claim: str
+    run: Callable[..., ConvergenceReport]
+
+
+# name -> (config, window, claim, run); the one list of the certified studies
+CERTIFIED = {
+    "example1-w1": Certified(StudyConfig(example="example1"), (0.40, 0.60),
+                             "two-speed Dirac study: W1 order 1/2", run_study),
+    "example2-w1": Certified(StudyConfig(example="example2"), (0.85, 1.15),
+                             "uniform-datum study: W1 order 1", run_study),
+    "example2-l1": Certified(StudyConfig(example="example2", distance="l1"),
+                             (0.40, 0.60), "uniform-datum study: L1 order 1/2",
+                             run_study),
+    "example3-w1": Certified(StudyConfig(example="example3"), (0.40, 0.60),
+                             "concentrating-front study: W1 order 1/2", run_study),
+    "example1-rusanov": Certified(StudyConfig(example="example1", scheme="rusanov"),
+                                  (0.40, 0.60),
+                                  "artificial-viscosity (Rusanov) study: W1 order 1/2",
+                                  run_study),
+    "triangulated-dirac": Certified(TriStudyConfig(), (0.40, 0.60),
+                                    "semi-Lagrangian Dirac study on triangulations: "
+                                    "W1 order 1/2", run_tri_study),
+}

@@ -273,21 +273,6 @@ def quantile(mu: DiscreteMeasure) -> QuantileFunction:
     return QuantileFunction.from_masses(mu.positions()[:, 0], mu.weight_array())
 
 
-def measure_from_quantile(q: QuantileFunction, grid: CartesianGrid) -> DiscreteMeasure:
-    """Push Lebesgue on [0,1) through a step quantile back to a measure.
-
-    Only valid for step quantiles whose values are grid nodes; coinciding
-    support points merge their weights.
-    """
-    if q.s.any():
-        raise ValueError("only step quantiles can be pushed back to a grid")
-    weights: dict[MultiIndex, float] = {}
-    for z0, z1, v in zip(q.z[:-1].tolist(), q.z[1:].tolist(), q.v.tolist()):
-        J = grid.cell_of((v,))
-        weights[J] = weights.get(J, 0.0) + (z1 - z0)
-    return DiscreteMeasure(grid, weights)
-
-
 def serialize(mu: DiscreteMeasure) -> str:
     """Plain-text table: header with grid metadata, one line per support point."""
     lines = [

@@ -332,25 +332,3 @@ def node_nearest(mesh: TriMesh, x: tuple[float, float]) -> int:
 def w1_to_point(points: np.ndarray, w: np.ndarray, y: np.ndarray) -> float:
     """Exact W_1 between the weights w on the points (m, 2) and a Dirac at y."""
     return float(np.linalg.norm(points - np.asarray(y), axis=1) @ w)
-
-
-def parse_mesh(text: str) -> TriMesh:
-    """Plain-text mesh: `v x y` lines then `t i j k` lines (1-based)."""
-    nodes, tris = [], []
-    for ln in text.splitlines():
-        parts = ln.split()
-        if not parts or parts[0].startswith("#"):
-            continue
-        if parts[0] == "v":
-            nodes.append((float(parts[1]), float(parts[2])))
-        elif parts[0] == "t":
-            tris.append(tuple(int(p) - 1 for p in parts[1:4]))
-        else:
-            raise ValueError(f"bad mesh line: {ln!r}")
-    return TriMesh(nodes=np.array(nodes), triangles=np.array(tris))
-
-
-def format_mesh(mesh: TriMesh) -> str:
-    lines = [f"v {float(x)!r} {float(y)!r}" for x, y in mesh.nodes]
-    lines += [f"t {i + 1} {j + 1} {k + 1}" for i, j, k in mesh.triangles]
-    return "\n".join(lines) + "\n"

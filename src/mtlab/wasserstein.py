@@ -243,12 +243,14 @@ def l1_distance(
     The weights are laid out on the contiguous index window from the
     smallest to the largest support index, so time and memory grow with that
     span, not with the number of support nodes; a span over _MAX_L1_CELLS
-    cells raises ScaleError.
+    cells raises ScaleError.  A malformed density (`_density_pieces`) raises
+    ValueError.
     """
     if grid.dims != 1:
         raise ValueError("L1 comparison is 1D only")
     if nu.atoms:
         raise ValueError("L1 distance against atoms is undefined")
+    _density_pieces(nu)
     js = [j for (j,) in mu.weights]
     jmin = min(js, default=0)
     span = max(js, default=0) - jmin + 1

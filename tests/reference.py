@@ -29,6 +29,11 @@ solution, written out per example as piece tables, and
 `reference_quantile` the earlier quantile of such a measure, its parts
 sorted by position and built by `QuantileFunction.from_masses`; the flow
 maps and the image rule of `mtlab.flows` are tested against them.
+
+The oracles at the end are used by tests only: `binomial_w1_bruteforce` sums
+the binomial law term by term, `measure_from_quantile` pushes a step
+quantile back to a grid measure, and `parse_mesh` / `format_mesh` are a mesh
+text format.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ import numpy as np
 
 from mtlab.harness import step_count
 from mtlab.measures import AnalyticMeasure, DiscreteMeasure, QuantileFunction, dirac
-from mtlab.simplex import NodeMeasure, node_nearest, sl_step, structured_mesh
+from mtlab.simplex import NodeMeasure, TriMesh, node_nearest, sl_step, structured_mesh
 from mtlab.velocity import constant
 
 
@@ -339,3 +344,48 @@ def reference_quantile(m):
     parts.sort(key=lambda part: part[0])
     x, mass, slope = np.array(parts).reshape(-1, 3).T
     return QuantileFunction.from_masses(x, mass, slope)
+
+
+def binomial_w1_bruteforce(k, dx):
+    """Direct sum over the binomial weights; oracle for small k."""
+    n = 2 * k
+    weights = [math.comb(n, j) * 0.5 ** n for j in range(n + 1)]
+    return math.fsum(w * abs(j * dx - k * dx) for j, w in enumerate(weights))
+
+
+def measure_from_quantile(q, grid):
+    """Push Lebesgue on [0,1) through a step quantile back to a measure.
+
+    Only valid for step quantiles whose values are grid nodes; coinciding
+    support points merge their weights.
+    """
+    if q.s.any():
+        raise ValueError("only step quantiles can be pushed back to a grid")
+    weights = {}
+    for z0, z1, v in zip(q.z[:-1].tolist(), q.z[1:].tolist(), q.v.tolist()):
+        J = grid.cell_of((v,))
+        weights[J] = weights.get(J, 0.0) + (z1 - z0)
+    return DiscreteMeasure(grid, weights)
+
+
+def parse_mesh(text):
+    """Plain-text mesh: `v x y` lines then `t i j k` lines (1-based)."""
+    nodes, tris = [], []
+    for ln in text.splitlines():
+        parts = ln.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if parts[0] == "v":
+            nodes.append((float(parts[1]), float(parts[2])))
+        elif parts[0] == "t":
+            tris.append(tuple(int(p) - 1 for p in parts[1:4]))
+        else:
+            raise ValueError(f"bad mesh line: {ln!r}")
+    return TriMesh(nodes=np.array(nodes), triangles=np.array(tris))
+
+
+def format_mesh(mesh):
+    """The text of a mesh in the format `parse_mesh` reads."""
+    lines = [f"v {float(x)!r} {float(y)!r}" for x, y in mesh.nodes]
+    lines += [f"t {i + 1} {j + 1} {k + 1}" for i, j, k in mesh.triangles]
+    return "\n".join(lines) + "\n"

@@ -1,13 +1,17 @@
 """Acceptance gate: one test per certified claim, pinned tolerances.
 
 Each test prints a single summary line so the suite log doubles as the
-acceptance report.
+acceptance report.  The convergence studies are the entries of
+`harness.CERTIFIED`; `certified` runs each one at most once per session, and
+every test that reads a study reads its report from there.
 """
 
+import functools
 import math
 import time
 
 import numpy as np
+import pytest
 
 from conftest import grid_for, random_measure, random_osl_field
 from mtlab.flows import (
@@ -17,12 +21,7 @@ from mtlab.flows import (
     euler_step,
     exact_solution,
 )
-from mtlab.harness import (
-    StudyConfig,
-    TriStudyConfig,
-    run_study,
-    run_tri_study,
-)
+from mtlab.harness import CERTIFIED
 from mtlab.measures import (
     AnalyticMeasure,
     CartesianGrid,
@@ -40,8 +39,24 @@ from mtlab.wasserstein import interpolation_check, wp_1d, wp_discrete
 
 def report(num, desc, ok, detail=""):
     tag = "PASS" if ok else "FAIL"
-    print(f"ACCEPTANCE {num:02d} {desc}: {tag} {detail}".rstrip())
-    assert ok, f"acceptance {num}: {desc} {detail}"
+    label = f"{num:02d}" if isinstance(num, int) else num
+    print(f"ACCEPTANCE {label} {desc}: {tag} {detail}".rstrip())
+    assert ok, f"acceptance {label}: {desc} {detail}"
+
+
+@functools.cache
+def certified(name):
+    """(report, wall time in s) of the certified study `name`, run on the
+    first request of the session."""
+    entry = CERTIFIED[name]
+    start = time.perf_counter()
+    rep = entry.run(entry.config)
+    return rep, time.perf_counter() - start
+
+
+def in_window(name, slope):
+    lo, hi = CERTIFIED[name].window
+    return lo <= slope <= hi
 
 
 def test_01_binomial_error_full_pipeline():
@@ -73,43 +88,18 @@ def test_02_asymptotic_constant():
            dev <= 1e-2 and elapsed < 1.0, f"(dev {dev:.2e}, {elapsed:.3f}s)")
 
 
-def test_03_order_two_speed_dirac():
-    start = time.perf_counter()
-    rep = run_study(StudyConfig(example="example1"))
-    elapsed = time.perf_counter() - start
-    report(3, "two-speed Dirac study: W1 order 1/2",
-           0.40 <= rep.slope <= 0.60 and elapsed < 120.0,
-           f"(slope {rep.slope:.3f}, {elapsed:.1f}s)")
-
-
-def test_04_orders_uniform_datum():
-    start = time.perf_counter()
-    w1 = run_study(StudyConfig(example="example2", distance="w1"))
-    t_w1 = time.perf_counter() - start
-    start = time.perf_counter()
-    l1 = run_study(StudyConfig(example="example2", distance="l1"))
-    t_l1 = time.perf_counter() - start
-    ok = (0.85 <= w1.slope <= 1.15 and 0.40 <= l1.slope <= 0.60
-          and t_w1 < 120.0 and t_l1 < 120.0)
-    report(4, "uniform-datum study: W1 order 1, L1 order 1/2", ok,
-           f"(W1 slope {w1.slope:.3f} in {t_w1:.1f}s, "
-           f"L1 slope {l1.slope:.3f} in {t_l1:.1f}s)")
-
-
-def test_05_order_dirac_formation():
-    start = time.perf_counter()
-    rep = run_study(StudyConfig(example="example3"))
-    elapsed = time.perf_counter() - start
-    report(5, "concentrating-front study: W1 order 1/2",
-           0.40 <= rep.slope <= 0.60 and elapsed < 120.0,
-           f"(slope {rep.slope:.3f}, {elapsed:.1f}s)")
+@pytest.mark.parametrize("name", CERTIFIED)
+def test_certified_study(name):
+    rep, elapsed = certified(name)
+    lo, hi = CERTIFIED[name].window
+    report(name, CERTIFIED[name].claim,
+           in_window(name, rep.slope) and elapsed < 120.0,
+           f"(slope {rep.slope:.3f} in [{lo:.2f}, {hi:.2f}], {elapsed:.1f}s)")
 
 
 def test_06_error_envelope():
-    consts = {}
-    for name in ("example1", "example2", "example3"):
-        rep = run_study(StudyConfig(example=name))
-        consts[name] = rep.envelope_constants()
+    consts = {name.removesuffix("-w1"): certified(name)[0].envelope_constants()
+              for name in ("example1-w1", "example2-w1", "example3-w1")}
     finite = all(all(map(math.isfinite, cs)) for cs in consts.values())
     monotone = all(cs[-1] <= cs[-2] + 1e-15 for cs in consts.values())
     detail = "; ".join(
@@ -237,10 +227,9 @@ def test_10_rusanov_consistency_and_order():
         a = np.atleast_1d(f.time_average(0.0, g.dt, g.node_array((j,))))
         (zeta,), (beta,) = node_coefficients(spec, f, 0, np.array([[j]]), g)
         worst = max(worst, float(np.max(np.abs((zeta - beta) - a))))
-    start = time.perf_counter()
-    rep = run_study(StudyConfig(example="example1", scheme="rusanov"))
-    elapsed = time.perf_counter() - start
-    ok = worst <= 1e-15 and 0.40 <= rep.slope <= 0.60 and elapsed < 120.0
+    rep, elapsed = certified("example1-rusanov")
+    ok = (worst <= 1e-15 and in_window("example1-rusanov", rep.slope)
+          and elapsed < 120.0)
     report(10, "flux-split consistency + artificial-viscosity order 1/2", ok,
            f"(consistency dev {worst:.1e}, slope {rep.slope:.3f}, "
            f"{elapsed:.1f}s)")
@@ -260,8 +249,8 @@ def test_11_semi_lagrangian():
         resid = sum(l * (v - zeta) for l, v in zip(lam, tri)) - (xi - zeta)
         worst = max(worst, float(np.max(np.abs(resid))))
 
-    cfg = TriStudyConfig()
-    rep = run_tri_study(cfg)
+    cfg = CERTIFIED["triangulated-dirac"].config
+    rep, _ = certified("triangulated-dirac")
 
     f = constant(list(cfg.speed))
     mesh = structured_mesh((-2.0, -2.0), (2.0, 2.0), (16, 16))
@@ -271,7 +260,7 @@ def test_11_semi_lagrangian():
     off = offdiagonal_mass(interior, mesh, f, 0, dt)
     off_bound = 2.0 * f.a_inf * dt / mesh.hbar
 
-    ok = (worst <= 1e-12 and 0.40 <= rep.slope <= 0.60
+    ok = (worst <= 1e-12 and in_window("triangulated-dirac", rep.slope)
           and off <= off_bound + 1e-12)
     report(11, "triangulated transport: order 1/2, barycentric identity, "
                "off-diagonal bound", ok,

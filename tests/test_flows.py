@@ -6,7 +6,6 @@ import pytest
 from mtlab.flows import (
     EXAMPLES,
     ExactSolution,
-    binomial_w1_bruteforce,
     binomial_w1_exact,
     central_binomial_ratio,
     euler_flow,
@@ -17,7 +16,7 @@ from mtlab.flows import (
 )
 from mtlab.measures import dirac
 from mtlab.velocity import constant
-from reference import reference_exact_measure, reference_quantile
+from reference import binomial_w1_bruteforce, reference_exact_measure, reference_quantile
 from test_wasserstein import random_analytic_1d
 
 TIMES = (0.0, 0.25, 0.5, 0.77, 1.0, 1.5, 2.0, 2.5)  # kinks cross at 0.5 and 1

@@ -1,16 +1,20 @@
+import importlib.util
 import json
 import math
 import multiprocessing
 import os
+import pathlib
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from mtlab.harness import (
+    CERTIFIED,
     ConfigError,
     StudyConfig,
     TriStudyConfig,
@@ -593,12 +597,57 @@ def test_one_resolution_fits_no_slope(capsys, argv):
     ["run", "--T", "0.001", "--N", "100"],  # no step
     ["mc-compare", "--T", "0.001"],
     ["interp-check", "--eps", "0.5,1e17"],  # [eps, 1 + eps) is empty
+    ["interp-check", "--eps", "9007199254740994"],  # [eps, 1 + eps) has width 2
 ])
 def test_cli_bad_study_config_exits_2(capsys, argv):
     assert cli.main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "config error" in captured.err and "Traceback" not in captured.err
+
+
+def test_certified_entries_pair_each_config_with_its_runner():
+    for name, entry in CERTIFIED.items():
+        lo, hi = entry.window
+        assert 0.0 < lo < hi, name
+        assert entry.run is (run_study if isinstance(entry.config, StudyConfig)
+                             else run_tri_study), name
+
+
+def _study_script():
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts/convergence_study.py"
+    spec = importlib.util.spec_from_file_location("convergence_study", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("ladder", ["100,x", "200,100", "0,100", "50.5,100"])
+def test_study_script_bad_ladder_exits_2(capsys, ladder):
+    assert _study_script().main(["--ladder", ladder]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: --ladder")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_study_script_ladder_replaces_the_grid_ladders_only(capsys, monkeypatch):
+    ladders = {}
+
+    def recorder(name):
+        def run(cfg):
+            ladders[name] = cfg.ladder
+            return SimpleNamespace(slope=0.5, residual=0.0,
+                                   rows=[SimpleNamespace(error=1.0)])
+        return run
+
+    for name, entry in CERTIFIED.items():
+        monkeypatch.setitem(CERTIFIED, name, entry._replace(run=recorder(name)))
+    assert _study_script().main(["--ladder", "50,100"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert [row.split()[0] for row in rows] == list(CERTIFIED)
+    assert ladders == {name: (50, 100) if isinstance(entry.config, StudyConfig)
+                       else entry.config.ladder for name, entry in CERTIFIED.items()}
 
 
 def test_tri_report_echoes_its_config(tmp_path, capsys):

