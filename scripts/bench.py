@@ -17,7 +17,8 @@ that both sides have: `quantile`, `quantile_of_analytic`, `wp_1d`, `w1_pair`,
 `make_kernels`, `sample_paths`, `increment_residual` and `empirical_law` of
 `stochastic`, `structured_mesh`, `NodeMeasure` and `sl_run` of `simplex`,
 and `exact_solution` with its `measure` and `quantile_fn` for each name in
-`harness.EXAMPLES`.
+`harness.EXAMPLES`; the one exception is the window semi-Lagrangian step,
+timed only where `simplex.kuhn_rows` exists.
 
 Cases:
   * `wp_1d` on support m = 500, 1000, 2000, 10^4: step vs step (p = 1 via
@@ -37,7 +38,10 @@ Cases:
     Dirac under a product step field, grid dx = 1/16 at CFL 0.9):
     `make_kernels`, then `sample_paths` of 10^5 paths, `increment_residual`
     and `empirical_law` of the last step on that batch;
-  * `run_tri_study` on the default `TriStudyConfig`, and a wide `sl_run`
+  * `run_tri_study` on the default `TriStudyConfig`, which steps a window of
+    grid nodes along the Kuhn rows and builds no mesh; one window
+    semi-Lagrangian step of it (`kuhn_rows` plus one `apply_window`) on its
+    last window at its finest N = 256; and a wide `sl_run` on the mesh path,
     the size of the benchmark's tri-sl run: 12 steps of a 40 x 40 block of
     nodes on an 80 x 80 split-square mesh under a field that points towards
     the block's centre lines;
@@ -236,6 +240,17 @@ def _wide_run(mtlab):
     return mu0, field, steps, 0.9 * mesh.hbar
 
 
+def _tri_window(harness, cfg, N):
+    """(xi, (lo, box)): the displacement in cells of the triangulated study
+    `cfg` at resolution N, and its window after the last step."""
+    import numpy as np
+
+    steps, dt, h, state, advance, _ = cfg.resolution(N)
+    for n in range(steps):
+        state = advance(n, state)
+    return np.asarray(cfg.speed)[None, :] * dt / h, state
+
+
 def _peak_rss_mb(who: int) -> float:
     return resource.getrusage(who).ru_maxrss / 1024.0
 
@@ -328,6 +343,17 @@ def measure(mtlab) -> dict:
             lambda: chain.empirical_law(batch, steps))
     tri = harness.TriStudyConfig()
     cases["run_tri_study default"] = _time(lambda: harness.run_tri_study(tri))
+    if hasattr(mtlab.simplex, "kuhn_rows"):
+        N = tri.ladder[-1]
+        xi, state = _tri_window(harness, tri, N)
+        moves = mtlab.simplex.kuhn_moves(2)
+
+        def sl_window_step():
+            rows = mtlab.simplex.kuhn_rows(xi)
+            mtlab.schemes.apply_window(*state, rows.reshape(rows.shape + (1,)), moves)
+
+        cases[f"window sl step N={N} {state[1].shape[0]}x{state[1].shape[1]}"] = _time(
+            sl_window_step, per=CALLS)
     mu0, field, steps, dt = _wide_run(mtlab)
     cells, _, block, _ = WIDE
     cases[f"sl_run {cells}x{cells} mesh, {block}x{block} datum, "

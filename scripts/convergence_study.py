@@ -6,7 +6,8 @@ studies (two-speed Dirac, uniform datum under W1 and L1, concentrating front,
 Rusanov) and the semi-Lagrangian Dirac study on triangulated meshes.
 --ladder replaces the ladder of the grid studies only.  Writes CSV/JSON
 reports next to --out.  A malformed --ladder is reported on one line, with
-exit status 2.
+exit status 2, and a report that cannot be written (say, --out in a missing
+directory) on one line, with exit status 4, as `mtlab convergence` does.
 """
 
 import argparse
@@ -40,7 +41,11 @@ def main(argv=None) -> int:
         print(f"{name:<20} {rep.slope:>7.3f} {rep.residual:>9.4f} "
               f"{rep.rows[-1].error:>13.5e}")
         if args.out:
-            emit_report(rep, f"{args.out}-{name}")
+            try:
+                emit_report(rep, f"{args.out}-{name}")
+            except OSError as exc:
+                print(f"I/O error: {exc}", file=sys.stderr)
+                return 4
     return 0
 
 

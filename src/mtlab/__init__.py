@@ -53,7 +53,7 @@ from .simplex import (
     NodeMeasure,
     TriMesh,
     barycentric,
-    sl_kernel,
+    kuhn_rows,
     sl_run,
     sl_step,
     structured_mesh,

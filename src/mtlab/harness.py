@@ -8,9 +8,11 @@ the stepper its config supplies.  A grid study advances a dense window (first
 index, weight array) with the scheme engine of `mtlab.schemes`, trimmed to its
 nonzero range after each step; for a field constant in time the transition
 rows are computed once, on every node the run can reach.  A triangulated study
-advances node ids and weights with `simplex.sl_push`, pruned under a fixed
-budget of dropped mass.  `CERTIFIED` is the one table of the studies that
-certify the paper's claims, each with the window its fitted order must lie in.
+steps a 2-D window of the grid's nodes with the same engine, along the
+semi-Lagrangian rows of its constant speed (`simplex.kuhn_rows`), with no
+mesh, pruned under a fixed budget of dropped mass.  `CERTIFIED` is the one
+table of the studies that certify the paper's claims, each with the window
+its fitted order must lie in.
 
 The resolutions of a ladder are independent runs from the same datum, so
 `run_study` (grid studies) runs them in parallel: the calling process and a
@@ -62,14 +64,8 @@ from .schemes import (
     measure_arrays,
     transition_rows,
 )
-from .simplex import (
-    check_cfl_tri,
-    node_nearest,
-    sl_push,
-    structured_mesh,
-    w1_to_point,
-)
-from .velocity import VelocityField, constant
+from .simplex import kuhn_moves, kuhn_rows, w1_to_point
+from .velocity import VelocityField
 from .wasserstein import check_order, l1_grid_vs_pieces, wp_1d
 
 DEFAULT_LADDER = (100, 200, 400, 800, 1600, 3200)
@@ -487,51 +483,52 @@ class TriStudyConfig:
         object.__setattr__(self, "domain", (lo, hi))
 
     def resolution(self, N: int):
-        """Stepper of resolution N on node ids (ascending) and weights."""
-        fld = constant(list(self.speed))
-        mesh = structured_mesh(self.domain[0], self.domain[1], (N, N))
-        dt = self.cfl * mesh.hbar / fld.a_inf
-        report = check_cfl_tri(mesh, fld, dt)
-        if not report.satisfied:
-            raise CflError(report)
-        start_node = node_nearest(mesh, self.x0)
+        """Stepper of resolution N on a window (first node, weights) of the
+        N x N grid's Kuhn (split-square) triangulation."""
+        lo = np.asarray(self.domain[0])
+        hs = np.array([(b - a) / N for a, b in zip(*self.domain)])
+        speed, x0 = np.asarray(self.speed), np.asarray(self.x0)
+        # minimal height of the split-square triangles
+        dt = self.cfl * (hs[0] * hs[1] / math.hypot(*hs)) / math.hypot(*speed)
         steps = _run_steps(self.T, dt, N)
-        # under the CFL bound a step moves mass by less than one cell per
-        # axis, so the support stays inside the mesh if the start node is at
-        # least `steps` cells from every edge
-        iy, ix = divmod(start_node, N + 1)
-        if min(ix, N - ix, iy, N - iy) < steps:
+        rows = kuhn_rows((speed * dt / hs)[None, :])[:, :, None]
+        # the nearest node, the lower one on a tie (round half down)
+        start = np.ceil((x0 - lo) / hs - 0.5).astype(np.int64)
+        # a step moves mass by at most one cell per axis, so the support
+        # stays on the grid if the start node is `steps` cells from each edge
+        if min(*start, *(N - start)) < steps:
             raise ConfigError(
                 f"N={N}: {steps} steps from {self.x0} can leave the domain "
                 f"{self.domain}; shorten T or widen the domain"
             )
-        speed, x0 = np.asarray(self.speed), np.asarray(self.x0)
         dropped = 0.0
 
         def advance(n, state):
             nonlocal dropped
-            ids, w = sl_push(mesh, fld, n, dt, *state)
-            keep = w >= self.prune
-            dropped += math.fsum(w[~keep])
+            first, box = apply_window(*state, rows, kuhn_moves(2), dropped)
+            small = box < self.prune
+            dropped += math.fsum(box[small])
             if dropped > _PRUNE_BUDGET:
                 raise RuntimeError(f"pruned mass {dropped:.3e} exceeds budget")
-            return ids[keep], w[keep]
+            box[small] = 0.0
+            kept = np.argwhere(box)
+            low, high = kept.min(axis=0), kept.max(axis=0) + 1
+            return first + low, box[low[0]:high[0], low[1]:high[1]]
 
         def distance(t, state):
-            ids, w = state
-            return w1_to_point(mesh.nodes[ids], w, x0 + t * speed)
+            first, box = state
+            cells = np.argwhere(box)
+            return w1_to_point(lo + (first + cells) * hs, box[tuple(cells.T)],
+                               x0 + t * speed)
 
-        h = (self.domain[1][0] - self.domain[0][0]) / N
-        return steps, dt, h, (np.array([start_node]), np.ones(1)), advance, distance
+        return steps, dt, float(hs[0]), (start, np.ones((1, 1))), advance, distance
 
 
 def run_tri_study(cfg: TriStudyConfig) -> ConvergenceReport:
     """Run the triangulated ladder serially and fit the order.
 
-    Unlike `run_study` it starts no workers.  The default study takes a
-    fraction of a second, most of it in building meshes, and a prototype that
-    ran its coarser meshes in a forked worker made it slower, not faster
-    (about 0.26 s to 0.29 s on two CPUs).
+    Unlike `run_study` it starts no workers: the default study takes a few
+    hundredths of a second, less than forking a worker costs.
     """
     return _fit_report(cfg, tuple(run_resolution(cfg, N) for N in cfg.ladder))
 

@@ -12,14 +12,16 @@ the field once on a whole (m, d) node array, `transition_rows` turns the
 coefficients into per-node move probabilities in the fixed neighbor order
 stay, +e_1, -e_1, ..., +e_d, -e_d, and `apply_window` applies the step to a
 dense bounding-box window by shifted slices, checking mass and positivity
-there.  The sparse dict of `DiscreteMeasure` is only the API boundary: `step`
+there; it takes any move list in {-1, 0, 1}^d, as `simplex.kuhn_rows` needs.
+The sparse dict of `DiscreteMeasure` is only the API boundary: `step`
 scatters its support into a window (`to_window`) and reads the result back,
 the Markov-chain kernels store the rows themselves, and the study harness
-keeps its 1D window between steps.
+keeps its windows between steps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -181,30 +183,40 @@ def to_window(
     return lo, weights, rows
 
 
-def apply_window(
-    lo: np.ndarray, weights: np.ndarray, rows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+@functools.cache
+def _targets(moves: bytes | None, dims: int) -> tuple[tuple[slice, ...], ...]:
+    """Per move of an int64 move list (S, d) as bytes, the neighbor moves if
+    None, its target slice in the window one cell wider on every side."""
+    shift = {-1: slice(None, -2), 0: slice(1, -1), 1: slice(2, None)}
+    rows = (neighbor_moves(dims) if moves is None
+            else np.frombuffer(moves, dtype=np.int64).reshape(-1, dims))
+    return tuple(tuple(shift[m] for m in move) for move in rows.tolist())
+
+
+def apply_window(lo: np.ndarray, weights: np.ndarray, rows: np.ndarray,
+                 moves: np.ndarray | None = None, pruned: float = 0.0
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """One convex step on a dense window: cell j holds the weight of node
-    lo + j and rows[:, j] its move probabilities in the fixed neighbor order.
+    lo + j and rows[:, j] its probabilities of the moves (S, d), by default
+    the fixed neighbor order; rows (S, 1, ..., 1) serve every cell.
 
     Returns the window one cell wider on every side, (lo - 1, box).  Each
-    target sums its contributions move by move (stay first, then +e_1, -e_1,
-    ...).  Raises WindowError when that window exceeds the cell cap, and
-    ValueError when a weight is negative or the mass moves from 1 by more
-    than 10 eps per cell of the given window."""
+    target sums its contributions move by move, in list order.  Raises
+    WindowError when that window exceeds the cell cap, and ValueError when a
+    weight is negative or the box's mass plus the mass `pruned` so far in
+    the run moves from 1 by more than 10 eps per cell of the given window."""
     dims = weights.ndim
     shape = tuple(s + 2 for s in weights.shape)
     _check_window(shape)
+    key = None if moves is None else np.asarray(moves, dtype=np.int64).tobytes()
     moved = rows * weights
     box = np.zeros(shape)
-    inner = (slice(1, -1),) * dims
-    box[inner] += moved[0]
-    for i in range(dims):
-        box[inner[:i] + (slice(2, None),) + inner[i + 1:]] += moved[1 + 2 * i]
-        box[inner[:i] + (slice(None, -2),) + inner[i + 1:]] += moved[2 + 2 * i]
+    for s, target in enumerate(_targets(key, dims)):
+        box[target] += moved[s]
     if np.minimum.reduce(box, axis=None) < 0.0:
         raise ValueError(f"negative weight {box.min()!r} after the step")
-    check_mass_defect(abs(float(np.add.reduce(box, axis=None)) - 1.0), weights.size)
+    check_mass_defect(abs(float(np.add.reduce(box, axis=None)) + pruned - 1.0),
+                      weights.size)
     return lo - 1, box
 
 

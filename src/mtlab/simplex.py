@@ -1,22 +1,28 @@
-"""Forward semi-Lagrangian scheme on conformal triangular meshes (d = 2).
+"""Forward semi-Lagrangian scheme: on the grid's Kuhn triangulation in any
+d, and on conformal triangular meshes (d = 2).
 
 Each node's mass is advected by the time-averaged node velocity and split to
-the vertices of the containing triangle by barycentric coordinates.  Under
-the CFL condition a_inf * dt <= hbar (minimal triangle height), the displaced
+the vertices of the containing simplex by barycentric coordinates.  Under
+the CFL condition a_inf * dt <= hbar (minimal simplex height), the displaced
 point stays inside the node's incident star, so the scheme is a convex
 redistribution and inherits the Markov-chain reading of the grid schemes.
 
-Everything is array-native.  A mesh stores each node's star as one padded
-row of incident triangle ids, and one step computes the splits of the whole
-support in a single batched pass (`_split`): one field evaluation on the
-support's node array, then barycentric coordinates against every triangle of
-every star at once.  Only points that leave their star go through the scalar
+On the Kuhn-Freudenthal triangulation of a grid (Freudenthal, Ann. Math.
+1942; `structured_mesh` in d = 2) the split needs no mesh: `kuhn_rows` gives
+each node its row over the moves `kuhn_moves(d)`, which `schemes.apply_window`
+steps and a `stochastic.TransitionKernel` reads as the scheme's chain.
+
+The mesh path serves other meshes and is the grid path's oracle.  A mesh
+stores each node's star as one padded row of incident triangle ids, and
+`_split` splits a whole support in one batched pass against every triangle
+of every star; only points that leave their star go through the scalar
 `locate`, whose brute-force search is the fallback before a `MeshError`.
 `sl_push` steps `(ids, w)` node arrays; `sl_step` wraps it for a `NodeMeasure`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,10 +30,49 @@ import numpy as np
 
 from .measures import check_mass_defect
 from .schemes import CflError, CflReport
-from .stochastic import check_rows
 from .velocity import VelocityField
 
 _BARY_TOL = 1e-12
+
+
+@functools.cache
+def kuhn_moves(dims: int) -> np.ndarray:
+    """(2^(d+1) - 1, d) read-only one-signed moves of {-1, 0, 1}^d: stay,
+    then +1_A and -1_A for the axis sets A of bit masks 1, ..., 2^d - 1."""
+    up = np.arange(1, 2 ** dims)[:, None] >> np.arange(dims) & 1
+    moves = np.vstack([np.zeros(dims, dtype=np.int64),
+                       np.stack([up, -up], axis=1).reshape(-1, dims)])
+    moves.flags.writeable = False
+    return moves
+
+
+def kuhn_rows(xi: np.ndarray) -> np.ndarray:
+    """Forward semi-Lagrangian rows (S, m) over `kuhn_moves(d)` of nodes
+    displaced by xi (m, d), in cell widths: the barycentric split of each
+    displaced point in the Kuhn simplex of its node's star.  The positive
+    parts p of xi, sorted down, weight the moves +e_(1), +e_(1) + e_(2), ...
+    by p_(1) - p_(2), p_(2) - p_(3), ...; the negative parts q weight the
+    minus moves alike, and the stay keeps 1 - p_(1) - q_(1), clamped at 0.
+    CflError when a point leaves its node's star: p_(1) + q_(1) > 1 beyond
+    rounding."""
+    xi = np.asarray(xi, dtype=float)
+    m, dims = xi.shape
+    probs = np.zeros((2 ** (dims + 1) - 1, m))
+    lead = np.zeros(m)
+    for side, part in enumerate((np.maximum(xi, 0.0), np.maximum(-xi, 0.0))):
+        order = np.argsort(-part, axis=1, kind="stable")
+        ranked = np.take_along_axis(part, order, axis=1)
+        # the bit masks of the sets A of the chain's moves, at rows 2A - 1 + side
+        chain = np.cumsum(1 << order, axis=1)
+        np.put_along_axis(probs.T, 2 * chain - 1 + side,
+                          -np.diff(ranked, axis=1, append=0.0), axis=1)
+        lead += ranked[:, 0]
+    worst = float(lead.max(initial=0.0))
+    report = CflReport(lhs=worst, bound=1.0, satisfied=worst <= 1.0 + 1e-12)
+    if not report.satisfied:
+        raise CflError(report)
+    np.maximum(0.0, 1.0 - lead, out=probs[0])
+    return probs
 
 
 class MeshError(RuntimeError):
@@ -103,41 +148,32 @@ def _signed_area(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> float:
     return 0.5 * float((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
 
 
-def barycentric(tri_pts: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of xi in the triangle (3, 2); sub-area ratios,
-    clipped and renormalized so they are a nonnegative partition of unity."""
+def _sub_areas(tri_pts: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Unclipped barycentric coordinates of xi in the triangle (3, 2)."""
     a, b, c = tri_pts
     total = _signed_area(a, b, c)
-    lam = np.array([
+    return np.array([
         _signed_area(xi, b, c) / total,
         _signed_area(xi, a, c) / -total,
         _signed_area(xi, a, b) / total,
     ])
+
+
+def barycentric(tri_pts: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Barycentric coordinates of xi in the triangle (3, 2); sub-area ratios,
+    clipped and renormalized so they are a nonnegative partition of unity."""
+    lam = _sub_areas(tri_pts, xi)
     if lam.min() < -_BARY_TOL:
         raise ValueError("point outside triangle")
     lam = np.maximum(lam, 0.0)
     return lam / lam.sum()
 
 
-def _contains(tri_pts: np.ndarray, xi: np.ndarray) -> bool:
-    a, b, c = tri_pts
-    total = _signed_area(a, b, c)
-    lams = (
-        _signed_area(xi, b, c) / total,
-        _signed_area(xi, a, c) / -total,
-        _signed_area(xi, a, b) / total,
-    )
-    return all(l >= -_BARY_TOL for l in lams)
-
-
 def locate(mesh: TriMesh, i: int, xi: np.ndarray) -> int:
     """Owning triangle of xi within node i's star (lowest index wins), with a
     brute-force fallback before reporting a mesh error."""
-    for k in mesh.incident(i):
-        if _contains(mesh.nodes[mesh.triangles[k]], xi):
-            return k
-    for k in range(len(mesh.triangles)):
-        if _contains(mesh.nodes[mesh.triangles[k]], xi):
+    for k in mesh.incident(i) + list(range(len(mesh.triangles))):
+        if _sub_areas(mesh.nodes[mesh.triangles[k]], xi).min() >= -_BARY_TOL:
             return k
     raise MeshError(f"displaced point {xi} from node {i} not in any triangle")
 
@@ -165,7 +201,8 @@ class NodeMeasure:
 
 def check_cfl_tri(mesh: TriMesh, field: VelocityField, dt: float) -> CflReport:
     lhs = field.a_inf * dt / mesh.hbar
-    return CflReport(lhs=lhs, bound=1.0, satisfied=lhs <= 1.0)
+    # tolerate rounding when the bound is attained exactly, as check_cfl does
+    return CflReport(lhs=lhs, bound=1.0, satisfied=lhs <= 1.0 + 1e-12)
 
 
 def _split(
@@ -196,7 +233,7 @@ def _split(
     bx, by = x[tri[..., 1]], y[tri[..., 1]]
     cx, cy = x[tri[..., 2]], y[tri[..., 2]]
     total = mesh._area[padded]
-    # the sub-area ratios of `barycentric`, term for term
+    # the sub-area ratios of `_sub_areas`, term for term
     lams = np.stack([
         0.5 * ((bx - px) * (cy - py) - (by - py) * (cx - px)) / total,
         0.5 * ((ax - px) * (cy - py) - (ay - py) * (cx - px)) / -total,
@@ -245,57 +282,6 @@ def sl_step(mu: NodeMeasure, field: VelocityField, n: int, dt: float) -> NodeMea
     ids, weights = sl_push(mu.mesh, field, n, dt, np.array(support, dtype=np.int64),
                            np.array([mu.weights[i] for i in support]))
     return NodeMeasure(mu.mesh, dict(zip(ids.tolist(), weights.tolist())))
-
-
-@dataclass(frozen=True, eq=False)
-class NodeKernel:
-    """Node-indexed transition kernel of one semi-Lagrangian step: row k
-    sends lam[k, s] of the mass at node ids[k] to node dest[k, s] (ids
-    ascending; rows (m, 3), each summing to 1)."""
-
-    n: int
-    ids: np.ndarray
-    dest: np.ndarray
-    lam: np.ndarray
-
-    def push(self, idx: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Node ids (k, 1) and weights of the law w on the node ids idx
-        (m, 1) after this step; KeyError names a node without a row."""
-        rows = np.minimum(np.searchsorted(self.ids, idx[:, 0]), len(self.ids) - 1)
-        missing = self.ids[rows] != idx[:, 0]
-        if missing.any():
-            raise KeyError(int(idx[np.argmax(missing), 0]))
-        ids, weights = _scatter(self.dest[rows], self.lam[rows], w)
-        return ids[:, None], weights
-
-
-def sl_kernel(
-    mu_support: list[int],
-    mesh: TriMesh,
-    field: VelocityField,
-    n: int,
-    dt: float,
-) -> NodeKernel:
-    """Transition kernel of one semi-Lagrangian step on the given nodes;
-    each row has at most 3 nonzero entries summing to 1."""
-    report = check_cfl_tri(mesh, field, dt)
-    if not report.satisfied:
-        raise CflError(report)
-    support = sorted(set(mu_support))
-    dest, lam = _split(support, mesh, field, n, dt)
-    ids = np.array(support, dtype=np.int64)
-    check_rows(ids, lam.T)
-    return NodeKernel(n, ids, dest, lam)
-
-
-def offdiagonal_mass(
-    mu_support: list[int], mesh: TriMesh, field: VelocityField, n: int, dt: float
-) -> float:
-    """Max over nodes of the mass leaving the node in one step."""
-    ids = np.asarray(mu_support, dtype=np.int64)
-    dest, lam = _split(mu_support, mesh, field, n, dt)
-    return float(np.max(np.where(dest != ids[:, None], lam, 0.0).sum(axis=1),
-                        initial=0.0))
 
 
 def sl_run(

@@ -2,9 +2,10 @@
 
 Each scheme step is a row-stochastic transition kernel on multi-indices; the
 scheme's weights are the chain's law.  A kernel stores the rows that the
-scheme engine computes (`schemes.transition_rows`), and the law is pushed
-along them by the scheme's own apply routine (`schemes.apply_window`), so
-chain and scheme share one implementation of the step.
+scheme engine computes (`schemes.transition_rows`, or `simplex.kuhn_rows`
+for the semi-Lagrangian chain) with their moves, and the law is pushed along
+them by the scheme's own apply routine (`schemes.apply_window`), so chain
+and scheme share one implementation of the step.
 
 Trajectories are sampled with a counter-based generator (Philox keyed by seed
 and step), so batches are reproducible and embarrassingly parallel.  Every
@@ -91,9 +92,9 @@ def check_rows(sources: np.ndarray, probs: np.ndarray) -> None:
 class TransitionKernel:
     """One-step kernel of a grid scheme on the source nodes idx (m, d),
     distinct and in lexicographic order: probs[s, k] is the probability that
-    source k makes move s of the fixed neighbor order (stay, +e_1, -e_1, ...,
-    +e_d, -e_d; see `schemes.neighbor_moves`).  The order is part of the
-    reproducibility contract for sampling.
+    source k makes move s of `moves` (S, d), by default the fixed neighbor
+    order (stay, +e_1, -e_1, ..., +e_d, -e_d; see `schemes.neighbor_moves`).
+    The order is part of the reproducibility contract for sampling.
 
     Construction builds a row table over the bounding box of the sources:
     the C-order cell of each source holds its row, every other cell -1.
@@ -104,8 +105,11 @@ class TransitionKernel:
     grid: CartesianGrid
     idx: np.ndarray
     probs: np.ndarray
+    moves: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.moves is None:
+            object.__setattr__(self, "moves", neighbor_moves(self.grid.dims))
         lo, shape, keys = _box_keys(self.idx)
         if np.any(np.diff(keys) <= 0):
             raise ValueError("kernel sources must be distinct and in "
@@ -133,7 +137,7 @@ class TransitionKernel:
 
     def row(self, J: MultiIndex) -> tuple[tuple[MultiIndex, float], ...]:
         k = int(self.locate(np.array([J]))[0])
-        targets = (np.asarray(J) + neighbor_moves(len(J))).tolist()
+        targets = (np.asarray(J) + self.moves).tolist()
         return tuple((tuple(t), p) for t, p in zip(targets, self.probs[:, k].tolist()))
 
     def check_rows(self) -> None:
@@ -142,7 +146,7 @@ class TransitionKernel:
     def push(self, idx: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights of the law w on the nodes idx after this step."""
         probs = self.probs[:, self.locate(idx)]
-        return _cells(*apply_window(*to_window(idx, w, probs)))
+        return _cells(*apply_window(*to_window(idx, w, probs), self.moves))
 
 
 @dataclass(frozen=True)
@@ -197,9 +201,7 @@ def make_kernels(
 
 
 def propagate_law(mu: DiscreteMeasure, kernels: list) -> DiscreteMeasure:
-    """Law after applying the kernels in order: grid-scheme kernels, or any
-    kernel with the same `push(idx, w) -> (idx, w)` (the semi-Lagrangian
-    `simplex.NodeKernel`)."""
+    """Law after pushing mu through the kernels in order."""
     _, idx, w = measure_arrays(mu)
     for kernel in kernels:
         idx, w = kernel.push(idx, w)
@@ -233,7 +235,6 @@ def sample_paths(
     _, support, _ = measure_arrays(mu0)
     steps = len(kernels)
     dtype = np.int32 if int(np.abs(support).max()) + steps < 2 ** 31 else np.int64
-    moves = neighbor_moves(mu0.grid.dims).astype(dtype)
     paths = np.empty((count, steps + 1, mu0.grid.dims), dtype=dtype)
     paths[:, 0, :] = _initial_states(mu0, count, seed)
     for n, kernel in enumerate(kernels):
@@ -246,7 +247,7 @@ def sample_paths(
         choice = np.zeros(count, dtype=np.intp)
         for cdf in cdfs[:-1]:
             choice += cdf[rows] < u
-        paths[:, n + 1, :] = paths[:, n, :] + moves[choice]
+        paths[:, n + 1, :] = paths[:, n, :] + kernel.moves.astype(dtype)[choice]
     return TrajectoryBatch(seed=seed, count=count, grid=mu0.grid, paths=paths)
 
 

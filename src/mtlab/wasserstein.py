@@ -43,6 +43,9 @@ class ScaleError(RuntimeError):
 
 def check_order(p: float) -> None:
     """ValueError unless the order p of a W_p distance is finite and >= 1."""
+    # W_inf is refused because the schemes do not converge in it: a chain's
+    # support spreads a distance of order t from the exact solution, with
+    # tiny mass out there, and W_inf sees that spread whatever its mass
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError(f"p must be finite and at least 1, got {p!r}")
 

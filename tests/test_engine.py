@@ -12,6 +12,7 @@ from mtlab.schemes import (
     SchemeSpec,
     WindowError,
     apply_window,
+    neighbor_moves,
     step,
     to_window,
     transition_rows,
@@ -87,6 +88,41 @@ def test_apply_window_checks_mass_and_positivity():
     leaky[:, 0] = [1.5, 0.0, -0.5]
     with pytest.raises(ValueError, match="negative weight"):
         apply_window(*to_window(idx, np.array([0.5, 0.5]), leaky))
+
+
+def test_apply_window_counts_the_pruned_mass():
+    g = CartesianGrid(dx=(0.5,), dt=0.25)
+    idx = np.array([[0], [3]])
+    probs = transition_rows(SchemeSpec("upwind"), constant(1.0), 0, idx, g)
+    # a window that lost 0.1 to pruning earlier in the run passes ...
+    window = to_window(idx, np.array([0.5, 0.4]), probs)
+    _, box = apply_window(*window, pruned=0.1)
+    assert box.sum() == pytest.approx(0.9, abs=1e-15)
+    # ... and a step that leaks mass still fails
+    with pytest.raises(ValueError, match="mass defect"):
+        apply_window(*to_window(idx, np.array([0.5, 0.4]), probs * (1.0 + 1e-9)),
+                     pruned=0.1)
+    with pytest.raises(ValueError, match="mass defect"):
+        apply_window(*window, pruned=0.2)
+
+
+def test_apply_window_sums_moves_in_list_order():
+    rng = np.random.default_rng(9)
+    weights = rng.uniform(size=(5, 4))
+    weights /= weights.sum()
+    rows = rng.dirichlet(np.ones(5), size=(5, 4)).transpose(2, 0, 1)
+    lo = np.array([3, -2])
+    default = apply_window(lo, weights, rows)
+    given = apply_window(lo, weights, rows, neighbor_moves(2))
+    assert default[0].tolist() == given[0].tolist() == [2, -3]
+    assert default[1].tobytes() == given[1].tobytes()
+    # a move of the list sends its share one cell along it
+    moves = np.array([[0, 0], [1, 1], [-1, 1], [0, -1], [1, 0]])
+    _, box = apply_window(lo, weights, rows, moves)
+    for move, share in zip(moves, rows * weights):
+        target = tuple(slice(1 + m, 1 + m + s) for m, s in zip(move, weights.shape))
+        box[target] -= share
+    assert np.max(np.abs(box)) <= 1e-15
 
 
 def test_kernel_support_forms_agree():

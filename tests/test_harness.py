@@ -396,10 +396,25 @@ def test_tri_config_normalizes_pairs_to_floats():
 
 @pytest.mark.parametrize("prune", [1e-16, 1e-12])
 def test_tri_stepper_matches_node_measure_loop(prune):
-    # 1e-12 drops mass at both resolutions, under the 1e-10 budget
+    # 1e-12 drops mass at both resolutions, under the 1e-10 budget; the
+    # stepper splits by sorted cell fractions and the loop by sub-area
+    # ratios on a mesh, so the two agree to rounding, not bit for bit
     cfg = TriStudyConfig(ladder=(32, 64), T=1.0, prune=prune)
     for N in cfg.ladder:
-        assert run_resolution(cfg, N).error.hex() == reference_tri_error(cfg, N).hex()
+        ref = reference_tri_error(cfg, N)
+        assert abs(run_resolution(cfg, N).error - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("speed", [(1.0, 0.5), (1.0, -1.0)])
+def test_tri_study_runs_at_cfl_one(speed):
+    # at cfl = 1 the time step attains the CFL bound up to rounding; under
+    # (1, -1) the displaced point lies on a diagonal edge of its node's star
+    cfg = TriStudyConfig(speed=speed, cfl=1.0, ladder=(32, 47, 64, 94, 97))
+    rep = run_tri_study(cfg)
+    assert [r.N for r in rep.rows] == list(cfg.ladder)
+    assert all(math.isfinite(r.error) and r.error > 0.0 for r in rep.rows)
+    ref = reference_tri_error(cfg, 47)
+    assert abs(rep.rows[1].error - ref) <= 1e-12 * ref
 
 
 def test_tri_pruned_mass_over_budget_raises():
@@ -560,6 +575,11 @@ def test_cli_tri_run(capsys):
     assert "slope" in capsys.readouterr().out
 
 
+def test_cli_tri_run_at_cfl_one(capsys):
+    assert cli.main(["tri-run", "--ladder", "47", "--cfl", "1"]) == 0
+    assert capsys.readouterr().out.startswith("N,dx,error,runtime_s\n47,")
+
+
 @pytest.mark.parametrize("argv", [
     ["convergence", "--example", "example1", "--ladder", "100"],
     ["tri-run", "--ladder", "16", "--T", "0.5"],
@@ -631,6 +651,18 @@ def test_study_script_bad_ladder_exits_2(capsys, ladder):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+def test_study_script_unwritable_out_exits_4(capsys, monkeypatch, tmp_path):
+    small = run_tri_study(TriStudyConfig(ladder=(16,), T=0.5))
+    for name, entry in CERTIFIED.items():
+        monkeypatch.setitem(CERTIFIED, name, entry._replace(run=lambda cfg: small))
+    out = tmp_path / "missing" / "study"
+    assert _study_script().main(["--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[1].startswith(next(iter(CERTIFIED)))
+    assert captured.err.startswith("I/O error:") and str(out.parent) in captured.err
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 def test_study_script_ladder_replaces_the_grid_ladders_only(capsys, monkeypatch):
     ladders = {}
 
@@ -681,14 +713,14 @@ def test_report_json_is_strict_json(tmp_path, capsys, argv):
     assert all(math.isfinite(c) for c in data["envelope_c"])
 
 
-def test_tri_runtime_includes_mesh_building(monkeypatch):
-    build = harness.structured_mesh
+def test_tri_runtime_includes_row_building(monkeypatch):
+    build = harness.kuhn_rows
 
     def slow_build(*args):
         time.sleep(0.05)
         return build(*args)
 
-    monkeypatch.setattr(harness, "structured_mesh", slow_build)
+    monkeypatch.setattr(harness, "kuhn_rows", slow_build)
     # T = 0.5 is one step at N = 8 (dt ~ 0.447); a run with no step is refused
     row = run_resolution(TriStudyConfig(ladder=(8,), T=0.5), 8)
     assert row.runtime_s >= 0.05

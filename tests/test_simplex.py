@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from mtlab.schemes import CflError
+from mtlab.schemes import (
+    CflError,
+    SchemeSpec,
+    apply_window,
+    neighbor_moves,
+    node_velocity,
+    transition_rows,
+)
 from mtlab.simplex import (
     MeshError,
     NodeMeasure,
@@ -11,19 +18,20 @@ from mtlab.simplex import (
     _split,
     barycentric,
     check_cfl_tri,
+    kuhn_moves,
+    kuhn_rows,
     locate,
     node_nearest,
-    offdiagonal_mass,
-    sl_kernel,
     sl_run,
     sl_step,
     structured_mesh,
     w1_to_point,
 )
-from mtlab.stochastic import propagate_law
+from mtlab.stochastic import TransitionKernel, check_rows, propagate_law, sample_paths
 from mtlab import simplex
 from mtlab.measures import CartesianGrid, DiscreteMeasure
 from mtlab.velocity import VelocityField, constant
+from conftest import grid_for, random_osl_field
 from reference import format_mesh, parse_mesh
 
 
@@ -279,9 +287,8 @@ def test_zero_field_identity_step():
 
 def test_displacement_onto_vertex_transfers_all_mass():
     # the split rule itself: a displaced point coinciding with a vertex gets
-    # barycentric weight 1 there (checked below the CFL radius geometry via
-    # the batched split, since under CFL no other vertex is reachable exactly
-    # and sl_kernel refuses the step)
+    # barycentric weight 1 there, in the batched split and in the Kuhn rows;
+    # a move of one cell is beyond the CFL radius hbar, so the step refuses it
     mesh = unit_mesh(4)  # h = 0.25
     i = node_nearest(mesh, (0.5, 0.5))
     j = node_nearest(mesh, (0.75, 0.5))
@@ -289,8 +296,11 @@ def test_displacement_onto_vertex_transfers_all_mass():
     dest, lam = _split([i], mesh, f, 0, 0.25)
     nonzero = [(d, l) for d, l in zip(dest[0].tolist(), lam[0].tolist()) if l != 0.0]
     assert nonzero == [(j, pytest.approx(1.0, abs=1e-14))]
+    probs = kuhn_rows(np.array([[1.0, 0.0]]))[:, 0]
+    assert [(kuhn_moves(2)[s].tolist(), p) for s, p in enumerate(probs) if p] == [
+        ([1, 0], 1.0)]
     with pytest.raises(CflError):
-        sl_kernel([i], mesh, f, 0, 0.25)
+        sl_step(NodeMeasure(mesh, {i: 1.0}), f, 0, 0.25)
 
 
 def test_half_edge_displacement_splits_between_edge_endpoints():
@@ -312,6 +322,23 @@ def test_cfl_refusal():
     assert not check_cfl_tri(mesh, f, dt).satisfied
     with pytest.raises(CflError):
         sl_step(mu, f, 0, dt)
+    # the bound attained exactly: a_inf dt / hbar rounds above 1 on this mesh
+    mesh = structured_mesh((-8.0, -8.0), (8.0, 8.0), (47, 47))
+    f = constant([1.0, 0.5])
+    report = check_cfl_tri(mesh, f, mesh.hbar / f.a_inf)
+    assert report.lhs > 1.0 and report.satisfied
+
+
+def sl_kernel(field, n, idx, grid):
+    """Forward semi-Lagrangian kernel of step n on the nodes idx (m, 2)."""
+    xi = node_velocity(field, n, idx, grid) * (grid.dt / np.asarray(grid.dx))
+    return TransitionKernel(n, grid, idx, kuhn_rows(xi), kuhn_moves(grid.dims))
+
+
+def grid_law(side, weights):
+    """Node weights {id: w} of a square structured_mesh with `side` nodes per
+    axis as {(ix, iy): w}."""
+    return {(i % side, i // side): w for i, w in weights.items()}
 
 
 def test_mass_conservation_and_kernel_equivalence():
@@ -326,38 +353,120 @@ def test_mass_conservation_and_kernel_equivalence():
     total = math.fsum(raw[i] for i in sorted(raw))
     mu = NodeMeasure(mesh, {i: w / total for i, w in raw.items()})
     hist = sl_run(mu, f, 5, dt)
-    law = DiscreteMeasure(CartesianGrid(dx=(1.0,), dt=dt),
-                          {(i,): w for i, w in mu.weights.items()})
+    grid = CartesianGrid(dx=(0.25, 0.25), dt=dt)
+    law = DiscreteMeasure(grid, grid_law(17, mu.weights))
     for n, out in enumerate(hist[1:]):
         assert abs(out.mass() - 1.0) <= 1e-13
         assert min(out.weights.values()) >= 0.0
-        kernel = sl_kernel([j for (j,) in law.support()], mesh, f, n, dt)
+        kernel = sl_kernel(f, n, np.array(law.support()), grid)
         law = propagate_law(law, [kernel])
-        for i, w in out.weights.items():
-            assert abs(law.weights.get((i,), 0.0) - w) <= 1e-12
+        expected = grid_law(17, out.weights)
+        for J in set(expected) | set(law.weights):
+            assert abs(law.weights.get(J, 0.0) - expected.get(J, 0.0)) <= 1e-12
 
 
-def test_node_kernel_push_needs_a_row_per_node():
-    mesh = structured_mesh((-1.0, -1.0), (1.0, 1.0), (4, 4))
+def test_sl_transition_kernel_needs_a_row_per_node():
+    mesh = structured_mesh((-1.0, -1.0), (1.0, 1.0), (4, 4))  # h = 0.5
     f = constant([0.3, 0.2])
     dt = 0.5 * mesh.hbar / f.a_inf
-    kernel = sl_kernel([6, 7, 7], mesh, f, 0, dt)
-    assert kernel.ids.tolist() == [6, 7]
-    ids, w = kernel.push(np.array([[7]]), np.array([1.0]))
-    out = sl_step(NodeMeasure(mesh, {7: 1.0}), f, 0, dt)
-    assert dict(zip(ids[:, 0].tolist(), w.tolist())) == out.weights
+    grid = CartesianGrid(dx=(0.5, 0.5), dt=dt)
+    kernel = sl_kernel(f, 0, np.array([[1, 1], [2, 1]]), grid)  # nodes 6, 7
+    idx, w = kernel.push(np.array([[2, 1]]), np.array([1.0]))
+    out = grid_law(5, sl_step(NodeMeasure(mesh, {7: 1.0}), f, 0, dt).weights)
+    pushed = dict(zip(map(tuple, idx.tolist()), w.tolist()))
+    assert set(pushed) == set(out)
+    assert all(abs(pushed[J] - out[J]) <= 1e-12 for J in out)
     with pytest.raises(KeyError):
-        kernel.push(np.array([[8]]), np.array([1.0]))
+        kernel.push(np.array([[3, 1]]), np.array([1.0]))
+
+
+def test_sl_kernel_rows_and_paths_take_its_moves():
+    grid = CartesianGrid(dx=(0.5, 0.5), dt=0.25)
+    kernel = sl_kernel(constant([1.0, 1.0]), 0, np.array([[0, 0]]), grid)
+    assert kernel.row((0, 0)) == (((0, 0), 0.5), ((1, 0), 0.0), ((-1, 0), 0.0),
+                                  ((0, 1), 0.0), ((0, -1), 0.0), ((1, 1), 0.5),
+                                  ((-1, -1), 0.0))
+    mu0 = DiscreteMeasure(grid, {(0, 0): 1.0})
+    ends = {tuple(p) for p in sample_paths(mu0, [kernel], 200, seed=5).paths[:, 1]}
+    assert ends == {(0, 0), (1, 1)}
 
 
 def test_offdiagonal_mass_bound():
     mesh = structured_mesh((-1.0, -1.0), (1.0, 1.0), (8, 8))
     f = constant([0.9, 0.3])
     dt = 0.7 * mesh.hbar / f.a_inf
-    interior = [i for i in range(len(mesh.nodes))
-                if 0.3 > np.max(np.abs(mesh.nodes[i]))]
+    interior = mesh.nodes[np.max(np.abs(mesh.nodes), axis=1) < 0.3]
     bound = 2.0 * f.a_inf * dt / mesh.hbar
-    assert offdiagonal_mass(interior, mesh, f, 0, dt) <= bound + 1e-12
+    # the off-diagonal mass of a row is what leaves the node: 1 - its stay
+    xi = f.time_average(0.0, dt, interior) * dt / (2.0 / 8)  # in cell widths
+    off = 1.0 - kuhn_rows(xi)[0]
+    assert np.max(off) <= bound + 1e-12
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_kuhn_rows_split_each_displacement_barycentrically(dims):
+    rng = np.random.default_rng(60 + dims)
+    # displacements in cells inside the CFL ball a_inf dt <= hbar: hbar is
+    # the cell width in d = 1 and h / sqrt(2) for the Kuhn simplices of
+    # d = 2, 3; ties between axes, zeros and the rim itself included
+    radius = 1.0 if dims == 1 else 1.0 / math.sqrt(2.0)
+    xi = rng.normal(size=(400, dims))
+    xi *= rng.uniform(0.0, radius, size=(400, 1)) / np.linalg.norm(xi, axis=1)[:, None]
+    xi[:40] = xi[:40, :1] / math.sqrt(dims) * rng.choice([-1.0, 1.0], size=(40, dims))
+    xi[40:60, rng.integers(dims)] = 0.0
+    xi[60:80] *= radius / np.linalg.norm(xi[60:80], axis=1)[:, None]
+    probs = kuhn_rows(xi)
+    moves = kuhn_moves(dims)
+    # every one-signed move once, stay first; in d <= 2 the neighbor moves lead
+    assert len({tuple(v) for v in moves.tolist()}) == len(moves) == 2 ** (dims + 1) - 1
+    assert np.all((moves.min(axis=1) >= 0) | (moves.max(axis=1) <= 0))
+    assert not moves[0].any()
+    if dims <= 2:
+        np.testing.assert_array_equal(moves[:2 * dims + 1], neighbor_moves(dims))
+    check_rows(xi, probs)
+    assert np.max(np.abs(moves.T @ probs - xi.T)) <= 1e-15
+    assert np.all(np.count_nonzero(probs, axis=0) <= dims + 1)
+    if dims == 1:  # forward SL with linear interpolation is upwind
+        f = random_osl_field(rng, 1)
+        grid = grid_for(f, 1)
+        idx = np.arange(-12, 13)[:, None]
+        xi = node_velocity(f, 0, idx, grid) * (grid.dt / np.asarray(grid.dx))
+        upwind = transition_rows(SchemeSpec("upwind"), f, 0, idx, grid)
+        assert np.max(np.abs(kuhn_rows(xi) - upwind)) <= 1e-15
+
+
+def test_kuhn_rows_refuse_a_point_outside_the_star():
+    with pytest.raises(CflError, match="VIOLATED"):
+        kuhn_rows(np.array([[0.0, 0.0], [0.6, -0.5]]))
+    # on the rim of the star up to rounding, the stay is clamped at 0
+    probs = kuhn_rows(np.array([[0.5 + 1e-16, -0.5]]))
+    assert probs[0, 0] == 0.0 and probs[:, 0].sum() == pytest.approx(1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("product", [False, True])
+def test_grid_sl_steps_match_sl_step_on_structured_mesh(product):
+    # mesh nodes -4 + j/4 are the grid nodes (j - 16)/4 exactly, so both
+    # paths evaluate the field at the same points
+    rng = np.random.default_rng(71)
+    mesh = structured_mesh((-4.0, -4.0), (4.0, 4.0), (32, 32))
+    f = random_osl_field(rng, 2) if product else constant([0.6, -0.4])
+    dt = 0.9 * mesh.hbar / f.a_inf
+    grid = CartesianGrid(dx=(0.25, 0.25), dt=dt)
+    raw = rng.uniform(0.5, 1.5, size=(4, 4))
+    box = raw / math.fsum(raw.ravel())
+    lo = np.array([-2, -1])
+    mu = NodeMeasure(mesh, {33 * (iy + 16) + ix + 16: w for (ix, iy), w in
+                            zip((lo + np.argwhere(box)).tolist(), box.ravel())})
+    for n in range(10):
+        cells = lo + np.argwhere(np.ones(box.shape, dtype=bool))
+        xi = node_velocity(f, n, cells, grid) * (grid.dt / np.asarray(grid.dx))
+        lo, box = apply_window(lo, box, kuhn_rows(xi).reshape((-1,) + box.shape),
+                               kuhn_moves(2))
+        mu = sl_step(mu, f, n, dt)
+        expected = np.zeros(box.shape)
+        for i, w in mu.weights.items():
+            expected[i % 33 - 16 - lo[0], i // 33 - 16 - lo[1]] = w
+        assert np.max(np.abs(box - expected)) <= 1e-12
 
 
 def test_mesh_hole_error():
