@@ -4,15 +4,14 @@ A study runs one scheme over a ladder of resolutions on a fixed box, measures
 the distance to the exact solution at every step, keeps the per-resolution
 maximum, and fits the order of convergence by least squares on the log-log
 cloud.  One loop, `run_resolution`, runs a resolution of either study with
-the stepper its config supplies.  A grid study advances a dense window (first
-index, weight array) with the scheme engine of `mtlab.schemes`, trimmed to its
-nonzero range after each step; for a field constant in time the transition
-rows are computed once, on every node the run can reach.  A triangulated study
-steps a 2-D window of the grid's nodes with the same engine, along the
-semi-Lagrangian rows of its constant speed (`simplex.kuhn_rows`), with no
-mesh, pruned under a fixed budget of dropped mass.  `CERTIFIED` is the one
-table of the studies that certify the paper's claims, each with the window
-its fitted order must lie in.
+the stepper its config supplies, and one window step, `_advance`, moves both:
+a dense window (lo, box) of grid nodes in any d, stepped by `apply_window`
+along the rows and moves its config gives, pruned under a fixed budget of
+dropped mass and trimmed to its nonzero bounding box.  A grid study gives the
+scheme's rows (computed once, on every node the run can reach, for a field
+constant in time), a triangulated study the semi-Lagrangian rows of its speed
+(`simplex.kuhn_rows`).  `CERTIFIED` is the one table of the studies that
+certify the paper's claims, each with the window its fitted order must lie in.
 
 The resolutions of a ladder are independent runs from the same datum, so
 `run_study` (grid studies) runs them in parallel: the calling process and a
@@ -57,12 +56,13 @@ from .measures import (
     project_initial,
 )
 from .schemes import (
-    CflError,
+    CflReport,
     SchemeSpec,
     apply_window,
     check_cfl,
     measure_arrays,
     transition_rows,
+    window_cells,
 )
 from .simplex import kuhn_moves, kuhn_rows, w1_to_point
 from .velocity import VelocityField
@@ -70,7 +70,7 @@ from .wasserstein import check_order, l1_grid_vs_pieces, wp_1d
 
 DEFAULT_LADDER = (100, 200, 400, 800, 1600, 3200)
 DEFAULT_DOMAIN = (-2.5, 2.5)
-_PRUNE_BUDGET = 1e-10  # largest mass a triangulated run may prune in all
+_PRUNE_BUDGET = 1e-10  # largest mass a run of a pruning study may drop in all
 
 _WP_RE = re.compile(r"wp\(([^)]+)\)")
 
@@ -183,7 +183,7 @@ class StudyConfig:
         object.__setattr__(self, "order", _distance_order(self.distance))
         # only the field bound is checked up front; scheme-specific CFL
         # (e.g. the doubled Rusanov coefficient bound) is checked at run time
-        if self.field().a_inf * self.cfl > 1.0 + 1e-12:
+        if not CflReport.of(self.field().a_inf * self.cfl).satisfied:
             raise ConfigError(
                 f"CFL ratio {self.cfl} with field bound "
                 f"{self.field().a_inf} violates the stability condition"
@@ -208,37 +208,28 @@ class StudyConfig:
             raise ConfigError(f"resolution N={N}: {exc}") from exc
 
     def resolution(self, N: int):
-        """Stepper of resolution N on the window (first index, weights)."""
-        grid = self.grid_for(N)
-        spec = SchemeSpec(self.scheme)
-        fld = self.field()
-        report = check_cfl(spec, fld, grid)
-        if not report.satisfied:
-            raise CflError(report)
+        """Stepper of resolution N on a window (lo, box) of the grid."""
+        grid, spec, fld = self.grid_for(N), SchemeSpec(self.scheme), self.field()
+        check_cfl(spec, fld, grid).require()
         steps = _run_steps(self.T, grid.dt, N)
         _, idx, w = measure_arrays(project_initial(self.initial(), grid))
-        jmin = int(idx.min())
-        window = np.zeros(int(idx.max()) - jmin + 1)
-        window[idx[:, 0] - jmin] = w
+        lo = idx.min(axis=0)
+        box = np.bincount(idx[:, 0] - lo[0], weights=w)
         exact, dx = self.exact(), grid.dx[0]
         # a window grows by at most one cell per side per step, so idx_all
         # holds every node the run can reach; rows are elementwise per node
-        base = jmin - steps
-        idx_all = np.arange(base, jmin + len(window) + steps)[:, None]
+        base = int(lo[0]) - steps
+        idx_all = np.arange(base, int(lo[0]) + len(box) + steps)[:, None]
         rows = (transition_rows(spec, fld, 0, idx_all, grid)
                 if fld.time_regularity == "constant" else None)
 
-        def advance(n, state):
-            jmin, window = state
-            a, m = jmin - base, len(window)
-            probs = (transition_rows(spec, fld, n, idx_all[a:a + m], grid)
-                     if rows is None else rows[:, a:a + m])
-            _, box = apply_window(idx_all[a], window, probs)
-            nz = box.nonzero()[0]
-            return jmin - 1 + int(nz[0]), box[nz[0]:nz[-1] + 1]
+        def rows_at(n, lo, box):
+            a = int(lo[0]) - base
+            return (rows[:, a:a + len(box)] if rows is not None else
+                    transition_rows(spec, fld, n, idx_all[a:a + len(box)], grid))
 
         def distance(t, state):
-            jmin, window = state
+            jmin, window = int(state[0][0]), state[1]
             if self.order is None:
                 ref = exact.measure(t)
                 if ref.atoms:
@@ -248,7 +239,33 @@ class StudyConfig:
             return wp_1d(QuantileFunction.from_masses(xs, window),
                          exact.quantile_fn(t), self.order)
 
-        return steps, grid.dt, dx, (jmin, window), advance, distance
+        return steps, grid.dt, dx, (lo, box), _advance(rows_at, None, 0.0), distance
+
+
+def _advance(rows_at, moves, prune: float):
+    """advance(n, (lo, box)) of every study: one `apply_window` step along
+    rows_at(n, lo, box) and the moves, weights below prune dropped (a
+    RuntimeError past _PRUNE_BUDGET), the box trimmed to its nonzero cells."""
+    pruned = 0.0
+
+    def advance(n, state):
+        nonlocal pruned
+        lo, box = apply_window(*state, rows_at(n, *state), moves, pruned)
+        if prune > 0.0:
+            small = box < prune
+            pruned += math.fsum(box[small])
+            if pruned > _PRUNE_BUDGET:
+                raise RuntimeError(f"pruned mass {pruned:.3e} exceeds budget")
+            box[small] = 0.0
+        # the cells come in C order, so the first axis's come sorted
+        first, *rest = box.nonzero()
+        keep = [slice(first[0], first[-1] + 1),
+                *(slice(k.min(), k.max() + 1) for k in rest)]
+        for axis, cut in enumerate(keep):
+            lo[axis] += cut.start  # lo is apply_window's own array
+        return lo, box[tuple(keep)]
+
+    return advance
 
 
 def step_count(T: float, dt: float) -> int:
@@ -483,9 +500,9 @@ class TriStudyConfig:
         object.__setattr__(self, "domain", (lo, hi))
 
     def resolution(self, N: int):
-        """Stepper of resolution N on a window (first node, weights) of the
-        N x N grid's Kuhn (split-square) triangulation."""
-        lo = np.asarray(self.domain[0])
+        """Stepper of resolution N on a window (lo, box) of the N x N grid's
+        nodes, along the rows of its Kuhn (split-square) triangulation."""
+        corner = np.asarray(self.domain[0])
         hs = np.array([(b - a) / N for a, b in zip(*self.domain)])
         speed, x0 = np.asarray(self.speed), np.asarray(self.x0)
         # minimal height of the split-square triangles
@@ -493,7 +510,7 @@ class TriStudyConfig:
         steps = _run_steps(self.T, dt, N)
         rows = kuhn_rows((speed * dt / hs)[None, :])[:, :, None]
         # the nearest node, the lower one on a tie (round half down)
-        start = np.ceil((x0 - lo) / hs - 0.5).astype(np.int64)
+        start = np.ceil((x0 - corner) / hs - 0.5).astype(np.int64)
         # a step moves mass by at most one cell per axis, so the support
         # stays on the grid if the start node is `steps` cells from each edge
         if min(*start, *(N - start)) < steps:
@@ -501,27 +518,13 @@ class TriStudyConfig:
                 f"N={N}: {steps} steps from {self.x0} can leave the domain "
                 f"{self.domain}; shorten T or widen the domain"
             )
-        dropped = 0.0
-
-        def advance(n, state):
-            nonlocal dropped
-            first, box = apply_window(*state, rows, kuhn_moves(2), dropped)
-            small = box < self.prune
-            dropped += math.fsum(box[small])
-            if dropped > _PRUNE_BUDGET:
-                raise RuntimeError(f"pruned mass {dropped:.3e} exceeds budget")
-            box[small] = 0.0
-            kept = np.argwhere(box)
-            low, high = kept.min(axis=0), kept.max(axis=0) + 1
-            return first + low, box[low[0]:high[0], low[1]:high[1]]
 
         def distance(t, state):
-            first, box = state
-            cells = np.argwhere(box)
-            return w1_to_point(lo + (first + cells) * hs, box[tuple(cells.T)],
-                               x0 + t * speed)
+            nodes, w = window_cells(*state)
+            return w1_to_point(corner + nodes * hs, w, x0 + t * speed)
 
-        return steps, dt, float(hs[0]), (start, np.ones((1, 1))), advance, distance
+        return (steps, dt, float(hs[0]), (start, np.ones((1, 1))),
+                _advance(lambda n, lo, box: rows, kuhn_moves(2), self.prune), distance)
 
 
 def run_tri_study(cfg: TriStudyConfig) -> ConvergenceReport:

@@ -203,8 +203,8 @@ def apply_window(lo: np.ndarray, weights: np.ndarray, rows: np.ndarray,
     Returns the window one cell wider on every side, (lo - 1, box).  Each
     target sums its contributions move by move, in list order.  Raises
     WindowError when that window exceeds the cell cap, and ValueError when a
-    weight is negative or the box's mass plus the mass `pruned` so far in
-    the run moves from 1 by more than 10 eps per cell of the given window."""
+    weight is negative or the box's mass moves from the given window's, or
+    with the mass `pruned` so far from 1, by over 10 eps per given cell."""
     dims = weights.ndim
     shape = tuple(s + 2 for s in weights.shape)
     _check_window(shape)
@@ -215,9 +215,16 @@ def apply_window(lo: np.ndarray, weights: np.ndarray, rows: np.ndarray,
         box[target] += moved[s]
     if np.minimum.reduce(box, axis=None) < 0.0:
         raise ValueError(f"negative weight {box.min()!r} after the step")
-    check_mass_defect(abs(float(np.add.reduce(box, axis=None)) + pruned - 1.0),
-                      weights.size)
+    mass = float(np.add.reduce(box, axis=None))
+    check_mass_defect(max(abs(mass - float(np.add.reduce(weights, axis=None))),
+                          abs(mass + pruned - 1.0)), weights.size)
     return lo - 1, box
+
+
+def window_cells(lo: np.ndarray, box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (k, d) and weights of the nonzero cells of a window, in C order."""
+    cells = np.argwhere(box)
+    return cells + lo, box[tuple(cells.T)]
 
 
 def measure_arrays(mu: DiscreteMeasure) -> tuple[list[MultiIndex], np.ndarray, np.ndarray]:
@@ -254,6 +261,17 @@ class CflReport:
     bound: float
     satisfied: bool
 
+    @classmethod
+    def of(cls, lhs: float) -> CflReport:
+        """A CFL ratio against 1, with an allowance for rounding at the bound."""
+        return cls(lhs=lhs, bound=1.0, satisfied=lhs <= 1.0 + 1e-12)
+
+    def require(self) -> CflReport:
+        """This report; CflError when the condition is violated."""
+        if not self.satisfied:
+            raise CflError(self)
+        return self
+
     def __str__(self):
         status = "ok" if self.satisfied else "VIOLATED"
         return f"CFL {status}: {self.lhs:.6g} <= {self.bound:.6g}"
@@ -266,10 +284,8 @@ class CflError(RuntimeError):
 
 
 def check_cfl(spec: SchemeSpec, field: VelocityField, grid: CartesianGrid) -> CflReport:
-    lhs = spec.coefficient_bound(field) * math.fsum(grid.dt / h for h in grid.dx)
-    # tolerate rounding when the bound is attained exactly; the step routine
-    # clamps the stay coefficient so the combination remains convex
-    return CflReport(lhs=lhs, bound=1.0, satisfied=lhs <= 1.0 + 1e-12)
+    return CflReport.of(spec.coefficient_bound(field)
+                        * math.fsum(grid.dt / h for h in grid.dx))
 
 
 def step(
@@ -277,9 +293,7 @@ def step(
 ) -> DiscreteMeasure:
     """One scheme step in gather (convex combination) form."""
     grid = mu.grid
-    report = check_cfl(spec, field, grid)
-    if not report.satisfied:
-        raise CflError(report)
+    check_cfl(spec, field, grid).require()
     keys, idx, w = measure_arrays(mu)
     probs = transition_rows(spec, field, n, idx, grid)
     lo, box = apply_window(*to_window(idx, w, probs))
@@ -290,9 +304,7 @@ def run(
     mu0: DiscreteMeasure, spec: SchemeSpec, field: VelocityField, steps: int
 ) -> list[DiscreteMeasure]:
     """Iterate the scheme; returns [mu0, mu1, ..., mu_steps]."""
-    report = check_cfl(spec, field, mu0.grid)
-    if not report.satisfied:
-        raise CflError(report)
+    check_cfl(spec, field, mu0.grid).require()
     out = [mu0]
     for n in range(steps):
         out.append(step(out[-1], spec, field, n))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import check_mass_defect
-from .schemes import CflError, CflReport
+from .schemes import CflReport
 from .velocity import VelocityField
 
 _BARY_TOL = 1e-12
@@ -67,10 +67,7 @@ def kuhn_rows(xi: np.ndarray) -> np.ndarray:
         np.put_along_axis(probs.T, 2 * chain - 1 + side,
                           -np.diff(ranked, axis=1, append=0.0), axis=1)
         lead += ranked[:, 0]
-    worst = float(lead.max(initial=0.0))
-    report = CflReport(lhs=worst, bound=1.0, satisfied=worst <= 1.0 + 1e-12)
-    if not report.satisfied:
-        raise CflError(report)
+    CflReport.of(float(lead.max(initial=0.0))).require()
     np.maximum(0.0, 1.0 - lead, out=probs[0])
     return probs
 
@@ -200,9 +197,7 @@ class NodeMeasure:
 
 
 def check_cfl_tri(mesh: TriMesh, field: VelocityField, dt: float) -> CflReport:
-    lhs = field.a_inf * dt / mesh.hbar
-    # tolerate rounding when the bound is attained exactly, as check_cfl does
-    return CflReport(lhs=lhs, bound=1.0, satisfied=lhs <= 1.0 + 1e-12)
+    return CflReport.of(field.a_inf * dt / mesh.hbar)
 
 
 def _split(
@@ -270,9 +265,7 @@ def sl_push(mesh: TriMesh, field: VelocityField, n: int, dt: float,
     triangle's vertices; returns the nonzero node ids (ascending) and their
     weights.  Checks the CFL condition before the step, and after it that the
     mass moved by no more than the rounding of the weights."""
-    report = check_cfl_tri(mesh, field, dt)
-    if not report.satisfied:
-        raise CflError(report)
+    check_cfl_tri(mesh, field, dt).require()
     return _scatter(*_split(ids, mesh, field, n, dt), w)
 
 

@@ -32,7 +32,6 @@ import numpy as np
 
 from .measures import CartesianGrid, DiscreteMeasure, MultiIndex
 from .schemes import (
-    CflError,
     SchemeSpec,
     _check_window,
     apply_window,
@@ -43,6 +42,7 @@ from .schemes import (
     node_velocity,
     to_window,
     transition_rows,
+    window_cells,
 )
 from .velocity import VelocityField
 
@@ -69,12 +69,6 @@ def _group(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     counts = np.diff(np.r_[first, len(keys)])
     return np.column_stack(np.unravel_index(keys[first], shape)) + lo, counts, order
-
-
-def _cells(lo: np.ndarray, box: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes (k, d) and weights of the nonzero cells of a window."""
-    pos = np.flatnonzero(box)
-    return np.column_stack(np.unravel_index(pos, box.shape)) + lo, box.ravel()[pos]
 
 
 def check_rows(sources: np.ndarray, probs: np.ndarray) -> None:
@@ -146,7 +140,7 @@ class TransitionKernel:
     def push(self, idx: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights of the law w on the nodes idx after this step."""
         probs = self.probs[:, self.locate(idx)]
-        return _cells(*apply_window(*to_window(idx, w, probs), self.moves))
+        return window_cells(*apply_window(*to_window(idx, w, probs), self.moves))
 
 
 @dataclass(frozen=True)
@@ -169,9 +163,7 @@ def kernel_of(
 ) -> TransitionKernel:
     """Kernel rows over the given support (multi-indices or an (m, d) integer
     array), in the paper-exact form."""
-    report = check_cfl(spec, field, grid)
-    if not report.satisfied:
-        raise CflError(report)
+    check_cfl(spec, field, grid).require()
     if not isinstance(support, np.ndarray):
         support = list(support)
     idx = np.asarray(support, dtype=np.int64).reshape(-1, grid.dims)

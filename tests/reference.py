@@ -19,10 +19,13 @@ seminorm of the difference and the interpolation ratio; `reference_bv` is
 the same rule for one density.  `mtlab.wasserstein`'s interpolation check
 and BV seminorm are tested against them.
 
+`reference_grid_error` is the grid study's resolution loop on dicts: a
+`reference_step` per step, and the distance to the closed form of the exact
+solution by `reference_w1_grid`, `reference_wp_1d` or `reference_l1_distance`;
 `reference_tri_error` is the triangulated study's resolution loop on node
 measures: a `sl_step` per step, the pruned weights dropped by a dict
 comprehension, and W_1 to the Dirac summed over a weight list rebuilt from
-the dict; the array stepper of `mtlab.harness` is tested against it.
+the dict.  The window steppers of `mtlab.harness` are tested against them.
 
 `reference_exact_measure` is the closed form of each example's exact
 solution, written out per example as piece tables, and
@@ -43,7 +46,14 @@ import math
 import numpy as np
 
 from mtlab.harness import step_count
-from mtlab.measures import AnalyticMeasure, DiscreteMeasure, QuantileFunction, dirac
+from mtlab.measures import (
+    AnalyticMeasure,
+    DiscreteMeasure,
+    QuantileFunction,
+    dirac,
+    project_initial,
+)
+from mtlab.schemes import SchemeSpec
 from mtlab.simplex import NodeMeasure, TriMesh, node_nearest, sl_step, structured_mesh
 from mtlab.velocity import constant
 
@@ -279,6 +289,34 @@ def reference_interpolation(f, g):
         return l1, bv, 0.0
     w1 = reference_wp_1d(reference_quantile(f), reference_quantile(g))
     return l1, bv, l1 / math.sqrt(bv * w1)
+
+
+def reference_grid_error(cfg, N):
+    """Max-over-steps error of the grid study `cfg` at resolution N, stepping
+    the projected datum's dict by `reference_step` and measuring each law
+    against `reference_exact_measure` of the example at that time."""
+    grid = cfg.grid_for(N)
+    spec, field = SchemeSpec(cfg.scheme), cfg.field()
+
+    def distance(mu, t):
+        exact = reference_exact_measure(cfg.example, t)
+        if cfg.order is None:
+            return reference_l1_distance(mu, exact, grid)
+        sup = mu.support()
+        xs = np.array([j for (j,) in sup]) * grid.dx[0]
+        ws = np.array([mu.weights[J] for J in sup])
+        if cfg.order == 1.0:
+            return reference_w1_grid(xs, ws, reference_quantile(exact))
+        atoms = AnalyticMeasure(dims=1, atoms=tuple(((x,), w) for x, w in zip(xs, ws)))
+        return reference_wp_1d(reference_quantile(atoms), reference_quantile(exact),
+                               cfg.order)
+
+    mu = project_initial(cfg.initial(), grid)
+    worst = distance(mu, 0.0)
+    for n in range(step_count(cfg.T, grid.dt)):
+        mu = reference_step(mu, spec, field, n)
+        worst = max(worst, distance(mu, (n + 1) * grid.dt))
+    return worst
 
 
 def reference_tri_error(cfg, N):

@@ -82,7 +82,9 @@ def test_apply_window_checks_mass_and_positivity():
     lo, box = apply_window(lo, weights, rows)
     assert lo.tolist() == [-1]
     assert box.tolist() == [0.0, 0.25, 0.25, 0.0, 0.25, 0.25]
-    with pytest.raises(ValueError, match="mass defect"):
+    # the step conserves the 0.9 it is given; the cumulative check (mass 0.9,
+    # nothing pruned) refuses it
+    with pytest.raises(ValueError, match="mass defect 1.000e-01"):
         apply_window(*to_window(idx, np.array([0.5, 0.4]), probs))
     leaky = probs.copy()
     leaky[:, 0] = [1.5, 0.0, -0.5]
@@ -104,6 +106,17 @@ def test_apply_window_counts_the_pruned_mass():
                      pruned=0.1)
     with pytest.raises(ValueError, match="mass defect"):
         apply_window(*window, pruned=0.2)
+
+
+def test_apply_window_checks_each_step_against_its_incoming_mass():
+    # the window holds 1 + 1e-9 and its rows leak exactly the excess, so the
+    # box's mass is 1: the cumulative check passes, the per-step one refuses
+    weights = np.array([0.5, 0.5 + 1e-9])
+    rows = np.zeros((3, 2))
+    rows[0] = [1.0, 0.5 / weights[1]]
+    assert abs((rows * weights).sum() - 1.0) <= 1e-16
+    with pytest.raises(ValueError, match="mass defect 1.000e-09"):
+        apply_window(np.array([0]), weights, rows)
 
 
 def test_apply_window_sums_moves_in_list_order():

@@ -28,10 +28,16 @@ from mtlab.harness import (
     step_count,
 )
 from mtlab import harness
+from mtlab.flows import EXAMPLES
 from mtlab.measures import dirac, project_initial, uniform
 from mtlab.schemes import SchemeSpec, apply_window, transition_rows
 from mtlab import cli
-from reference import reference_step, reference_tri_error
+from reference import (
+    reference_exact_measure,
+    reference_grid_error,
+    reference_step,
+    reference_tri_error,
+)
 
 
 def test_config_validation():
@@ -170,6 +176,42 @@ def test_window_step_matches_sparse_scheme():
         assert set(dense) == set(mu.weights)
         for J, w in mu.weights.items():
             assert abs(dense[J] - w) <= 1e-14
+
+
+@pytest.mark.parametrize("distance", ["w1", "wp(2)", "l1"])
+@pytest.mark.parametrize("scheme", ["upwind", "rusanov"])
+@pytest.mark.parametrize("example", sorted(EXAMPLES))
+def test_grid_stepper_matches_dict_loop(example, scheme, distance):
+    # the window stepper against the per-node dict loop and the closed-form
+    # exact solutions; Rusanov doubles the coefficient bound, so it runs at
+    # half the CFL ratio
+    cfg = StudyConfig(example=example, scheme=scheme, distance=distance,
+                      cfl=0.25 if scheme == "rusanov" else 0.5, ladder=(20, 40))
+    if distance == "l1" and any(reference_exact_measure(example, t).atoms
+                                for t in (0.0, cfg.T)):
+        with pytest.raises(ConfigError, match="atom-free"):
+            run_resolution(cfg, 20)
+        return
+    for N in cfg.ladder:
+        ref = reference_grid_error(cfg, N)
+        assert abs(run_resolution(cfg, N).error - ref) <= 1e-12 * ref
+
+
+def test_window_advance_trims_a_2d_box_to_its_nonzero_cells():
+    # stay-only rows leave the weights in place: the step pads the box by one
+    # cell per side, and the trim drops the pad, the zero border rows and
+    # columns, and the corner weight pruned below 1e-12; the first row's
+    # cells neither start nor end the kept columns
+    box = np.zeros((5, 6))
+    box[1, 3:5] = box[2, 2:4] = (1.0 - 1e-13) / 4
+    box[0, 0] = 1e-13
+    advance = harness._advance(lambda n, lo, box: np.ones((1, 1, 1)),
+                               np.zeros((1, 2), dtype=np.int64), 1e-12)
+    lo, out = advance(0, (np.array([10, -3]), box))
+    assert lo.tolist() == [11, -1]
+    assert out.tobytes() == box[1:3, 2:5].tobytes()
+    lo, out = advance(1, (lo, out))  # nothing left to trim
+    assert lo.tolist() == [11, -1] and out.shape == (2, 3)
 
 
 @pytest.mark.parametrize("example,scheme", [

@@ -7,7 +7,9 @@ No linter ships with the project, so these are its checks:
 - no module but `flows.py` compares a value with the name of a built-in
   example, so that `flows.EXAMPLES` stays the one list of the examples;
 - neither the acceptance tests nor the study script builds a study config,
-  so that `harness.CERTIFIED` stays the one list of the certified studies.
+  so that `harness.CERTIFIED` stays the one list of the certified studies;
+- `harness.py` calls `apply_window` once, in its one window step, so that a
+  second study loop cannot come back.
 """
 
 import ast
@@ -86,14 +88,14 @@ def test_example_name_check_flags_a_comparison():
 STUDY_CONFIGS = ("StudyConfig", "TriStudyConfig")
 
 
-def study_config_calls(source: str) -> list[str]:
-    """Calls that build a study config, by its bare name or as an attribute
-    such as `harness.StudyConfig(...)`."""
+def calls_of(names, source: str) -> list[str]:
+    """Calls of any of the names, bare or as an attribute such as
+    `harness.StudyConfig(...)`."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             name = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if name in STUDY_CONFIGS:
+            if name in names:
                 found.append(f"line {node.lineno}: {name}")
     return found
 
@@ -102,7 +104,7 @@ def study_config_calls(source: str) -> list[str]:
                                   ROOT / "scripts" / "convergence_study.py"],
                          ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_module_leaves_study_configs_to_certified(path):
-    assert study_config_calls(path.read_text()) == []
+    assert calls_of(STUDY_CONFIGS, path.read_text()) == []
 
 
 def test_study_config_check_flags_a_construction():
@@ -111,5 +113,19 @@ def test_study_config_check_flags_a_construction():
               "cfg = StudyConfig(example='example1')\n"
               "tri = harness.TriStudyConfig(ladder=(16, 32))\n"
               "same = isinstance(cfg, StudyConfig) and CERTIFIED['x'].run(cfg)\n")
-    assert study_config_calls(source) == ["line 3: StudyConfig",
-                                          "line 4: TriStudyConfig"]
+    assert calls_of(STUDY_CONFIGS, source) == ["line 3: StudyConfig",
+                                               "line 4: TriStudyConfig"]
+
+
+def test_harness_steps_every_study_in_one_place():
+    assert len(calls_of({"apply_window"}, (SRC / "harness.py").read_text())) == 1
+
+
+def test_call_check_counts_bare_and_attribute_calls():
+    source = ("from mtlab import schemes\n"
+              "from mtlab.schemes import apply_window\n"
+              "a = apply_window(lo, box, rows)\n"
+              "b = schemes.apply_window(*state, rows, moves)\n"
+              "step = apply_window\n")
+    assert calls_of({"apply_window"}, source) == ["line 3: apply_window",
+                                                  "line 4: apply_window"]
