@@ -26,7 +26,7 @@ from .harness import (
     run_tri_study,
 )
 from .measures import deserialize, project_initial, serialize, uniform
-from .schemes import CflError, SchemeSpec, run as run_scheme
+from .schemes import CflError, SchemeSpec, step
 from .stochastic import (
     empirical_law,
     increment_residual,
@@ -129,10 +129,12 @@ def _study_config(args) -> StudyConfig:
 def _cmd_run(args) -> int:
     cfg = _study_config(args)
     grid = cfg.grid_for(args.N)
-    mu0 = project_initial(cfg.initial(), grid)
-    steps = _run_steps(cfg.T, grid.dt, args.N)
-    history = run_scheme(mu0, SchemeSpec(cfg.scheme), cfg.field(), steps)
-    text = serialize(history[-1])
+    mu = project_initial(cfg.initial(), grid)
+    spec, field = SchemeSpec(cfg.scheme), cfg.field()
+    # keep only the current measure: a whole history is O(steps) measures
+    for n in range(_run_steps(cfg.T, grid.dt, args.N)):
+        mu = step(mu, spec, field, n)
+    text = serialize(mu)
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)
@@ -163,21 +165,22 @@ def _cmd_mc_compare(args) -> int:
     kernels = make_kernels(mu0, SchemeSpec(cfg.scheme), cfg.field(), steps)
     batch = sample_paths(mu0, kernels, args.paths, cfg.seed)
     stats = increment_residual(batch, cfg.field(), grid)
-    print("step tv_distance max_mean_residual")
+    print("step tv_distance max_mean_residual max_residual_per_stderr "
+          "max_abs_h_per_2dx")
     mu = mu0
     for n in range(steps + 1):
         tv = total_variation(empirical_law(batch, n), mu)
         if n < steps:
             st = stats[n]
-            worst = max(
-                (float(np.max(np.abs(mean))) for _, mean, _ in
-                 st.per_state.values()),
-                default=0.0,
-            )
-            print(f"{n} {tv:.6e} {worst:.6e}")
+            means = [(float(np.max(np.abs(mean))), stderr)
+                     for _, mean, stderr in st.per_state.values()]
+            worst = max((m for m, _ in means), default=0.0)
+            worst_se = max((m / se for m, se in means if se > 0.0), default=0.0)
+            print(f"{n} {tv:.6e} {worst:.6e} {worst_se:.6e} "
+                  f"{st.max_abs_h / (2 * grid.dx[0]):.6e}")
             mu = propagate_law(mu, [kernels[n]])
         else:
-            print(f"{n} {tv:.6e} -")
+            print(f"{n} {tv:.6e} - - -")
     return EXIT_OK
 
 

@@ -28,7 +28,7 @@ def check_mass_defect(defect: float, n: int) -> None:
     than 10 eps per weight: the one mass tolerance of the measures, the grid
     steps and the semi-Lagrangian steps."""
     tol = 10.0 * _EPS * max(n, 1)
-    if defect > tol:
+    if not defect <= tol:  # a NaN defect fails it too
         raise ValueError(f"mass defect {defect:.3e} exceeds {tol:.3e}")
 
 
@@ -89,13 +89,16 @@ class DiscreteMeasure:
                   if 0.0 in weights.values() else dict(weights))
         object.__setattr__(self, "weights", pruned)
         dims = self.grid.dims
-        # one pass each at C speed; a NaN minimum falls through to the loop
-        if set(map(len, pruned)) <= {dims} and min(pruned.values(), default=0.0) >= 0.0:
+        # one pass each at C speed; min skips a NaN that is not first, the
+        # sum does not, and either falls through to the loop
+        values = pruned.values()
+        if (set(map(len, pruned)) <= {dims} and min(values, default=0.0) >= 0.0
+                and not math.isnan(sum(values))):
             return
         for J, w in pruned.items():  # name the first bad entry in dict order
             if len(J) != dims:
                 raise DimensionError("multi-index dimension mismatch")
-            if w < 0.0:
+            if not w >= 0.0:
                 raise ValueError(f"negative weight {w} at {J}")
 
     def mass(self) -> float:

@@ -186,7 +186,7 @@ class NodeMeasure:
         pruned = {i: w for i, w in self.weights.items() if w != 0.0}
         object.__setattr__(self, "weights", pruned)
         for i, w in pruned.items():
-            if w < 0.0:
+            if not w >= 0.0:
                 raise ValueError(f"negative weight at node {i}")
 
     def mass(self) -> float:

@@ -73,8 +73,9 @@ def _group(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def check_rows(sources: np.ndarray, probs: np.ndarray) -> None:
     """ValueError naming the first source whose row (a column of probs
-    (slots, m)) has a negative entry or misses 1 by more than ROW_SUM_TOL."""
-    bad = np.flatnonzero((probs < 0.0).any(axis=0))
+    (slots, m)) has a negative or NaN entry or misses 1 by more than
+    ROW_SUM_TOL."""
+    bad = np.flatnonzero((~(probs >= 0.0)).any(axis=0))
     if bad.size:
         raise ValueError(f"negative probability in row {sources[bad[0]].tolist()}")
     bad = np.flatnonzero(np.abs(probs.sum(axis=0) - 1.0) > ROW_SUM_TOL)
@@ -169,8 +170,7 @@ def kernel_of(
     idx = np.asarray(support, dtype=np.int64).reshape(-1, grid.dims)
     if not len(idx):
         raise ValueError("a kernel needs a nonempty support")
-    _, first = np.unique(_box_keys(idx)[2], return_index=True)
-    idx = idx[first]
+    idx = _group(idx)[0]
     kernel = TransitionKernel(n, grid, idx, transition_rows(spec, field, n, idx, grid))
     kernel.check_rows()
     return kernel

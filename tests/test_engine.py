@@ -25,7 +25,7 @@ from mtlab.stochastic import (
     make_kernels,
     sample_paths,
 )
-from mtlab.velocity import constant
+from mtlab.velocity import VelocityField, constant
 from reference import (
     reference_empirical_law,
     reference_increments,
@@ -117,6 +117,31 @@ def test_apply_window_checks_each_step_against_its_incoming_mass():
     assert abs((rows * weights).sum() - 1.0) <= 1e-16
     with pytest.raises(ValueError, match="mass defect 1.000e-09"):
         apply_window(np.array([0]), weights, rows)
+
+
+def test_apply_window_refuses_a_nan_weight():
+    rows = np.zeros((3, 2))
+    rows[0] = 1.0
+    with pytest.raises(ValueError, match="nan"):
+        apply_window(np.array([0]), np.array([0.5, np.nan]), rows)
+
+
+# NaN at the node x = 0.5 (J = 1 on a grid with dx = 0.5), 1/2 elsewhere
+NAN_AT_ONE_NODE = VelocityField(eval_fn=lambda t, x: np.where(x == 0.5, np.nan, 0.5),
+                                a_inf=1.0)
+
+
+def test_step_refuses_a_field_that_is_nan_at_one_node():
+    g = CartesianGrid(dx=(0.5,), dt=0.25)
+    mu = DiscreteMeasure(g, {(0,): 0.5, (1,): 0.5})
+    with pytest.raises(ValueError, match="nan"):
+        step(mu, SchemeSpec("upwind"), NAN_AT_ONE_NODE, 0)
+
+
+def test_kernel_refuses_a_field_that_is_nan_at_one_node():
+    g = CartesianGrid(dx=(0.5,), dt=0.25)
+    with pytest.raises(ValueError, match=r"row \[1\]"):
+        kernel_of(SchemeSpec("upwind"), NAN_AT_ONE_NODE, 0, [(0,), (1,)], g)
 
 
 def test_apply_window_sums_moves_in_list_order():

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 import pathlib
+import shlex
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,8 +30,9 @@ from mtlab.harness import (
 )
 from mtlab import harness
 from mtlab.flows import EXAMPLES
-from mtlab.measures import dirac, project_initial, uniform
-from mtlab.schemes import SchemeSpec, apply_window, transition_rows
+from mtlab.measures import dirac, project_initial, serialize, uniform
+from mtlab.schemes import SchemeSpec, apply_window, run as run_scheme, transition_rows
+from mtlab.stochastic import increment_residual, make_kernels, sample_paths
 from mtlab import cli
 from reference import (
     reference_exact_measure,
@@ -532,6 +534,31 @@ def test_cli_run_writes_measure(tmp_path):
     assert abs(mu.mass() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("scheme", ["upwind", "rusanov"])
+@pytest.mark.parametrize("example", list(EXAMPLES))
+def test_cli_run_writes_the_last_measure_of_the_scheme_run(tmp_path, example, scheme):
+    out = tmp_path / "final.txt"
+    assert cli.main(["run", "--example", example, "--scheme", scheme, "--N", "40",
+                     "--T", "0.5", "--cfl", "0.25", "--out", str(out)]) == 0
+    cfg = StudyConfig(example=example, scheme=scheme, T=0.5, cfl=0.25)
+    grid = cfg.grid_for(40)
+    history = run_scheme(project_initial(cfg.initial(), grid), SchemeSpec(scheme),
+                         cfg.field(), step_count(cfg.T, grid.dt))
+    assert out.read_text() == serialize(history[-1])
+
+
+def test_readme_cli_lines_parse():
+    # every documented command must parse, so the README cannot drift from
+    # the parser
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("mtlab ")]
+    assert "mtlab mc-compare   --example example1 --T 1 --paths 100000" in lines
+    parser = cli._build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])
+
+
 def test_cli_run_classifies_a_bad_resolution(capsys):
     # N = 3 on the default box gives dx = 5/3 > 1: a configuration error
     assert cli.main(["run", "--example", "example1", "--N", "3"]) == 2
@@ -607,8 +634,23 @@ def test_cli_mc_compare(capsys):
         "--paths", "2000", "--seed", "5",
     ])
     assert code == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0].startswith("step tv_distance")
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("step tv_distance")
+    # the last two columns, recomputed from the increments of the same batch
+    cfg = StudyConfig(example="binomial", T=0.5, seed=5)
+    grid = cfg.grid_for(30)
+    mu0 = project_initial(cfg.initial(), grid)
+    kernels = make_kernels(mu0, SchemeSpec("upwind"), cfg.field(),
+                           step_count(cfg.T, grid.dt))
+    stats = increment_residual(sample_paths(mu0, kernels, 2000, 5), cfg.field(), grid)
+    assert len(lines) == len(stats) + 2
+    for line, st in zip(lines[1:], stats):
+        per_se = [float(np.max(np.abs(mean))) / se
+                  for _, mean, se in st.per_state.values() if se > 0.0]
+        assert per_se
+        assert line.split()[3:] == [f"{max(per_se):.6e}",
+                                    f"{st.max_abs_h / (2 * grid.dx[0]):.6e}"]
+    assert lines[-1].split()[2:] == ["-", "-", "-"]
 
 
 def test_cli_tri_run(capsys):

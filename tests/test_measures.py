@@ -10,6 +10,7 @@ from mtlab.measures import (
     DimensionError,
     DiscreteMeasure,
     MeasureFileError,
+    check_mass_defect,
     deserialize,
     dirac,
     moment,
@@ -56,11 +57,25 @@ def test_measure_names_its_first_bad_entry_in_dict_order():
         DiscreteMeasure(g, {(0,): -0.5, (1, 2): 1.0})
     with pytest.raises(DimensionError, match="multi-index dimension mismatch"):
         DiscreteMeasure(g, {(1, 2): 1.0, (0,): -0.5})
-    # a NaN weight is not negative; the negative entry after it is named
-    with pytest.raises(ValueError, match=r"negative weight -1.0 at \(2,\)"):
+    # a NaN weight fails the check as a negative one does, so it is named
+    # before the negative entry after it
+    with pytest.raises(ValueError, match=r"negative weight nan at \(1,\)"):
         DiscreteMeasure(g, {(0,): 0.5, (1,): math.nan, (2,): -1.0})
     with pytest.raises(DimensionError):
         DiscreteMeasure(CartesianGrid(dx=(0.5, 0.5), dt=0.1), {(0, 0): 0.5, (1,): 0.5})
+
+
+def test_measure_refuses_a_nan_weight():
+    # min() skips a NaN that is not first, so the fast path must not rest on it
+    g = CartesianGrid(dx=(0.5,), dt=0.1)
+    with pytest.raises(ValueError, match=r"weight nan at \(1,\)"):
+        DiscreteMeasure(g, {(0,): 0.5, (1,): math.nan})
+
+
+def test_mass_defect_check_refuses_nan():
+    check_mass_defect(0.0, 3)
+    with pytest.raises(ValueError, match="mass defect nan"):
+        check_mass_defect(math.nan, 3)
 
 
 def test_project_atom_at_node():

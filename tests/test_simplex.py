@@ -314,6 +314,11 @@ def test_half_edge_displacement_splits_between_edge_endpoints():
     assert len(out.weights) == 2
 
 
+def test_node_measure_refuses_a_nan_weight():
+    with pytest.raises(ValueError, match="node 1"):
+        NodeMeasure(unit_mesh(2), {0: 0.5, 1: math.nan})
+
+
 def test_cfl_refusal():
     mesh = unit_mesh(4)
     mu = NodeMeasure(mesh, {0: 1.0})

@@ -7,6 +7,7 @@ from conftest import grid_for, random_measure, random_osl_field
 from mtlab.measures import CartesianGrid, DiscreteMeasure
 from mtlab.schemes import CflError, SchemeSpec, run
 from mtlab.stochastic import (
+    check_rows,
     empirical_law,
     increment_residual,
     kernel_of,
@@ -60,6 +61,12 @@ def test_row_sums_on_random_fields():
                    for _ in range(10)}
         k = kernel_of(SchemeSpec("upwind"), f, 0, support, g)
         k.check_rows()  # raises if any row departs from 1 by > 1e-14
+
+
+def test_check_rows_refuses_a_nan_entry():
+    probs = np.array([[1.0, np.nan], [0.0, 0.5], [0.0, 0.5]])
+    with pytest.raises(ValueError, match=r"row \[1\]"):
+        check_rows(np.array([[0], [1]]), probs)
 
 
 def test_propagate_law_binomial():
