@@ -37,7 +37,9 @@ Cases:
     chains (upwind d = 1 with 12 steps, Rusanov d = 2 with 8 steps, from a
     Dirac under a product step field, grid dx = 1/16 at CFL 0.9):
     `make_kernels`, then `sample_paths` of 10^5 paths, `increment_residual`
-    and `empirical_law` of the last step on that batch;
+    and `empirical_law` of the last step on that batch, each timed once per
+    run in the order a chain uses them, each of the K runs of a chain in a
+    fresh interpreter with PYTHONPATH set to --src;
   * `run_tri_study` on the default `TriStudyConfig`, which steps a window of
     grid nodes along the Kuhn rows and builds no mesh; one window
     semi-Lagrangian step of it (`kuhn_rows` plus one `apply_window`) on its
@@ -54,9 +56,12 @@ Cases:
     `ExactSolution.measure` of each example over the 2560 step times of the
     finest default resolution (N = 3200), each of the K runs in a fresh
     interpreter with PYTHONPATH set to --src (the median of 5 passes after
-    a warm-up pass).  In-process timings of such short calls move with the
-    heap state of the process.  With --base, the runs alternate between
-    --base, recorded under the label `before`, and --src, in turn first.
+    a warm-up pass).
+
+In-process timings of the exact-solution calls and of the Markov-chain
+cases move with the heap state of the process, so those two kinds of case
+run in fresh interpreters.  With --base, their runs alternate between
+--base, recorded under the label `before`, and --src, in turn first.
 
 Besides the times, each label records the peak RSS of this process and of
 its children (`ru_maxrss` of RUSAGE_SELF and RUSAGE_CHILDREN), both read
@@ -128,6 +133,12 @@ EXACT_CALLS = ("import statistics, sys, time\n"
                "        call(t)\n"
                "    runs.append((time.perf_counter() - start) / len(ts))\n"
                "print(statistics.median(runs[1:]))\n")
+# the Markov-chain case: argv is this directory, kind, dims, steps; prints
+# the seconds of each case of the chain as a JSON object
+CHAIN_CALLS = ("import json, sys\n"
+               "sys.path.insert(0, sys.argv[1])\n"
+               "import bench\n"
+               "print(json.dumps(bench.chain_times(*sys.argv[2:])))\n")
 
 
 def _machine() -> dict:
@@ -269,24 +280,73 @@ def _end_to_end(src: str) -> None:
                    env=env, check=True, stdout=subprocess.DEVNULL)
 
 
+def _fresh_runs(srcs: dict, code: str, *argv: str) -> dict:
+    """{label: [stdout of each run]} of code run with argv in K fresh
+    interpreters per label, PYTHONPATH set to the label's source, the labels
+    alternating and in turn first."""
+    outs = {label: [] for label in srcs}
+    order = list(srcs.items())
+    for k in range(K):
+        for label, src in order[::-1] if k % 2 else order:
+            env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+            outs[label].append(subprocess.run(
+                [sys.executable, "-c", code, *argv],
+                env=env, check=True, capture_output=True, text=True).stdout)
+    return outs
+
+
 def _exact_calls(examples, srcs: dict) -> dict:
-    """{label: cases} of the exact-solution calls, K fresh interpreters per
-    label and case, the labels alternating and in turn first."""
+    """{label: cases} of the exact-solution calls, in fresh interpreters."""
     cases = {label: {} for label in srcs}
     for example in examples:
         for method in ("quantile_fn", "measure"):
-            runs = {label: [] for label in srcs}
-            for k in range(K):
-                order = list(srcs.items())
-                for label, src in order[::-1] if k % 2 else order:
-                    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-                    out = subprocess.run(
-                        [sys.executable, "-c", EXACT_CALLS, example, method],
-                        env=env, check=True, capture_output=True, text=True).stdout
-                    runs[label].append(float(out))
-            for label, rs in runs.items():
+            for label, outs in _fresh_runs(srcs, EXACT_CALLS, example, method).items():
+                rs = [float(out) for out in outs]
                 cases[label][f"exact {example} {method} per call"] = {
                     "median_s": statistics.median(rs), "runs_s": rs}
+    return cases
+
+
+def chain_times(kind: str, dims: str, steps: str) -> dict:
+    """{case: seconds} of one benchmark chain: `make_kernels`, `sample_paths`,
+    `increment_residual` and `empirical_law` of the last step, each timed
+    once in this process on the mtlab that it imports."""
+    import mtlab.measures
+    import mtlab.schemes
+    import mtlab.stochastic
+    import mtlab.velocity
+
+    chain = mtlab.stochastic
+    dims, steps = int(dims), int(steps)
+    mu0, spec, field = _chain_case(mtlab, kind, dims)
+    tag = f"{kind} d={dims} steps={steps}"
+    times = {}
+
+    def clock(name, fn, *args):
+        start = time.perf_counter()
+        out = fn(*args)
+        times[name] = time.perf_counter() - start
+        return out
+
+    kernels = clock(f"make_kernels {tag}", chain.make_kernels, mu0, spec, field, steps)
+    batch = clock(f"sample_paths {tag} paths={PATHS}",
+                  chain.sample_paths, mu0, kernels, PATHS, 7)
+    clock(f"increment_residual {tag} paths={PATHS}",
+          chain.increment_residual, batch, field, mu0.grid, MIN_VISITS)
+    clock(f"empirical_law {tag} paths={PATHS}", chain.empirical_law, batch, steps)
+    return times
+
+
+def _chain_calls(srcs: dict) -> dict:
+    """{label: cases} of the Markov-chain cases, in fresh interpreters."""
+    cases = {label: {} for label in srcs}
+    for kind, dims, steps in CHAINS:
+        outs = _fresh_runs(srcs, CHAIN_CALLS, HERE, kind, str(dims), str(steps))
+        for label, runs in outs.items():
+            runs = [json.loads(out) for out in runs]
+            for name in runs[0]:
+                rs = [run[name] for run in runs]
+                cases[label][name] = {"median_s": statistics.median(rs), "runs_s": rs}
     return cases
 
 
@@ -327,20 +387,6 @@ def measure(mtlab) -> dict:
     for name, params in STUDIES:
         cfg = harness.StudyConfig(**params)
         cases[f"run_study {name}"] = _time(lambda: harness.run_study(cfg))
-    chain = mtlab.stochastic
-    for kind, dims, steps in CHAINS:
-        mu0, spec, field = _chain_case(mtlab, kind, dims)
-        tag = f"{kind} d={dims} steps={steps}"
-        cases[f"make_kernels {tag}"] = _time(
-            lambda: chain.make_kernels(mu0, spec, field, steps))
-        kernels = chain.make_kernels(mu0, spec, field, steps)
-        cases[f"sample_paths {tag} paths={PATHS}"] = _time(
-            lambda: chain.sample_paths(mu0, kernels, PATHS, seed=7))
-        batch = chain.sample_paths(mu0, kernels, PATHS, seed=7)
-        cases[f"increment_residual {tag} paths={PATHS}"] = _time(
-            lambda: chain.increment_residual(batch, field, mu0.grid, MIN_VISITS))
-        cases[f"empirical_law {tag} paths={PATHS}"] = _time(
-            lambda: chain.empirical_law(batch, steps))
     tri = harness.TriStudyConfig()
     cases["run_tri_study default"] = _time(lambda: harness.run_tri_study(tri))
     if hasattr(mtlab.simplex, "kuhn_rows"):
@@ -370,7 +416,8 @@ def main() -> int:
     ap.add_argument("--out", required=True,
                     help="JSON record to add this run to")
     ap.add_argument("--base", help="mtlab source of the parent commit; the "
-                    "exact-solution runs then alternate with it (label before)")
+                    "exact-solution and Markov-chain runs then alternate with "
+                    "it (label before)")
     args = ap.parse_args()
 
     sys.path.insert(0, os.path.abspath(args.src))
@@ -379,7 +426,6 @@ def main() -> int:
     import mtlab.measures
     import mtlab.schemes
     import mtlab.simplex
-    import mtlab.stochastic
     import mtlab.velocity
     import mtlab.wasserstein
 
@@ -390,7 +436,8 @@ def main() -> int:
     payload["machine"] = _machine()
     payload["method"] = (f"median of k={K} runs per case, one process per "
                          "label (a fresh one per run for the exact-solution "
-                         "cases), time.perf_counter; see scripts/bench.py")
+                         "and Markov-chain cases, alternating with --base), "
+                         "time.perf_counter; see scripts/bench.py")
     runs = payload.setdefault("runs", {})
     cases = measure(mtlab)
     label = runs[args.label] = {
@@ -406,8 +453,9 @@ def main() -> int:
     srcs = {args.label: args.src}
     if args.base:
         srcs = {"before": args.base, **srcs}
-    for name, exact in _exact_calls(mtlab.harness.EXAMPLES, srcs).items():
-        runs.setdefault(name, {"cases": {}})["cases"].update(exact)
+    for fresh in (_exact_calls(mtlab.harness.EXAMPLES, srcs), _chain_calls(srcs)):
+        for name, fresh_cases in fresh.items():
+            runs.setdefault(name, {"cases": {}})["cases"].update(fresh_cases)
     if "before" in runs and "after" in runs:
         before, after = runs["before"]["cases"], runs["after"]["cases"]
         payload["speedup"] = {name: before[name]["median_s"] / after[name]["median_s"]

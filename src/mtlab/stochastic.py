@@ -20,6 +20,10 @@ key is its C-order cell in a bounding box.
     sort is a radix sort for boxes of up to 2^16 cells.
   * A path's move is the number of cumulative row entries below its uniform
     draw, summed slot by slot over the (slots, m) cumulative rows.
+  * Paths are stored axis-major: the (count, steps+1, d) array of a batch is
+    the transpose of a C-order (d, steps+1, count) block, so every per-step,
+    per-axis view `paths[:, n, i]` is one contiguous run of count entries and
+    each pass over the paths of a step reads contiguous memory.
 """
 
 from __future__ import annotations
@@ -69,6 +73,11 @@ def _group(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     counts = np.diff(np.r_[first, len(keys)])
     return np.column_stack(np.unravel_index(keys[first], shape)) + lo, counts, order
+
+
+def _is_int(v) -> bool:
+    """v is a Python or numpy integer, not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def check_rows(sources: np.ndarray, probs: np.ndarray) -> None:
@@ -147,7 +156,11 @@ class TransitionKernel:
 @dataclass(frozen=True)
 class TrajectoryBatch:
     """count paths of multi-indices, shape (count, steps+1, d); int32 when
-    max |J^0| + steps < 2^31 over the initial support, int64 otherwise."""
+    max |J^0| + steps < 2^31 over the initial support, int64 otherwise.
+
+    `sample_paths` stores them axis-major (the transpose of a C-order
+    (d, steps+1, count) array), so `paths[:, n, i]` is contiguous; the
+    functions that read a batch give the same results on a row-major copy."""
 
     seed: int
     count: int
@@ -222,12 +235,12 @@ def sample_paths(
     in path-index order, so batches are reproducible and each step can be
     generated independently.
     """
-    if count < 1:
-        raise ValueError("need at least one path")
+    if not _is_int(count) or count < 1:
+        raise ValueError(f"count must be a positive int, not {count!r}")
     _, support, _ = measure_arrays(mu0)
-    steps = len(kernels)
+    steps, dims = len(kernels), mu0.grid.dims
     dtype = np.int32 if int(np.abs(support).max()) + steps < 2 ** 31 else np.int64
-    paths = np.empty((count, steps + 1, mu0.grid.dims), dtype=dtype)
+    paths = np.empty((dims, steps + 1, count), dtype=dtype).T
     paths[:, 0, :] = _initial_states(mu0, count, seed)
     for n, kernel in enumerate(kernels):
         cdfs = np.cumsum(kernel.probs, axis=0)
@@ -239,7 +252,8 @@ def sample_paths(
         choice = np.zeros(count, dtype=np.intp)
         for cdf in cdfs[:-1]:
             choice += cdf[rows] < u
-        paths[:, n + 1, :] = paths[:, n, :] + kernel.moves.astype(dtype)[choice]
+        for i, move in enumerate(kernel.moves.T.astype(dtype)):
+            np.add(paths[:, n, i], move[choice], out=paths[:, n + 1, i])
     return TrajectoryBatch(seed=seed, count=count, grid=mu0.grid, paths=paths)
 
 
@@ -269,21 +283,25 @@ def increment_residual(
     """
     if batch.count < 1:
         raise ValueError("empty batch")
-    dx = np.array(grid.dx)
     out = []
     steps = batch.paths.shape[1] - 1
     for n in range(steps):
         cur = batch.paths[:, n, :]
-        nxt = batch.paths[:, n + 1, :]
-        incr = (nxt - cur) * dx
         states, visits, order = _group(cur)
         drift = node_velocity(field, n, states, grid) * grid.dt
         inv = np.empty(len(order), dtype=np.intp)
         inv[order] = np.repeat(np.arange(len(states)), visits)
-        h = incr - drift[inv]
-        habs = np.sqrt((h * h).sum(axis=1))
-        # rows of h by state, path order kept within each state
-        by_state = h[order]
+        # h axis by axis in path order, and |h|^2 summed over the axes in turn
+        h = [(batch.paths[:, n + 1, i] - cur[:, i]) * dx - drift[:, i][inv]
+             for i, dx in enumerate(grid.dx)]
+        sq = h[0] * h[0]
+        for h_i in h[1:]:
+            sq += h_i * h_i
+        habs = np.sqrt(sq)
+        # a row-major (count, d) stack of h by state, path order kept within
+        # each state: the per-state mean and std reduce the same blocks of
+        # rows as on a row-major h, so they are bit for bit the same
+        by_state = np.column_stack([h_i[order] for h_i in h])
         per_state: dict[MultiIndex, tuple[int, np.ndarray, float]] = {}
         skipped: dict[MultiIndex, int] = {}
         end = 0
@@ -311,7 +329,10 @@ def increment_residual(
 
 
 def empirical_law(batch: TrajectoryBatch, n: int) -> DiscreteMeasure:
-    """Empirical distribution of the batch at step n."""
+    """Empirical distribution of the batch at step n, for n in 0..steps."""
+    steps = batch.paths.shape[1] - 1
+    if not _is_int(n) or not 0 <= n <= steps:
+        raise ValueError(f"step {n!r} is outside 0..{steps}")
     states, counts, _ = _group(batch.paths[:, n, :])
     weights = dict(zip(map(tuple, states.tolist()), (counts / batch.count).tolist()))
     return DiscreteMeasure(batch.grid, weights)

@@ -1,6 +1,7 @@
 """The array engine of the grid schemes and the chain against loop references."""
 
 import bisect
+import dataclasses
 
 import numpy as np
 import pytest
@@ -250,6 +251,32 @@ def test_sampling_matches_row_unique_reference(kind, dims):
         ref = reference_empirical_law(batch, n)
         assert list(law.weights) == list(ref)
         assert all(law.weights[J] == p for J, p in ref.items())
+
+
+@pytest.mark.parametrize("kind,dims", [("upwind", 1), ("rusanov", 2), ("upwind", 3)])
+def test_path_axes_are_contiguous_and_layout_does_not_change_results(kind, dims):
+    rng = np.random.default_rng(90 + dims)
+    f, g, mu, kernels = _chain(rng, kind, dims, 5, 4)
+    batch = sample_paths(mu, kernels, 3000, seed=13)
+    assert batch.paths.shape == (3000, len(kernels) + 1, dims)
+    for n in range(len(kernels) + 1):
+        for i in range(dims):
+            assert batch.paths[:, n, i].flags.c_contiguous
+    # a batch built by a caller may hold its paths row-major
+    rows = dataclasses.replace(batch, paths=np.ascontiguousarray(batch.paths))
+    assert rows.paths.flags.c_contiguous and np.array_equal(rows.paths, batch.paths)
+    for got, want in zip(increment_residual(batch, f, g, min_visits=20),
+                         increment_residual(rows, f, g, min_visits=20)):
+        assert (got.n, got.skipped) == (want.n, want.skipped)
+        assert (got.max_abs_h, got.mean_abs_h, got.mean_sq_h) == \
+            (want.max_abs_h, want.mean_abs_h, want.mean_sq_h)
+        assert list(got.per_state) == list(want.per_state)
+        for J, (visits, mean, stderr) in want.per_state.items():
+            assert got.per_state[J][0] == visits and got.per_state[J][2] == stderr
+            assert np.array_equal(got.per_state[J][1], mean)
+    for n in range(len(kernels) + 1):
+        law, want = empirical_law(batch, n), empirical_law(rows, n)
+        assert law == want and list(law.weights.items()) == list(want.weights.items())
 
 
 def test_path_dtype_follows_the_reach():

@@ -106,6 +106,28 @@ def test_sampling_reproducible_and_seed_sensitive():
         sample_paths(mu, kernels, 0, seed=1)
 
 
+@pytest.mark.parametrize("count", [True, 10.0, "10", None, -3])
+def test_sample_paths_refuses_a_count_that_is_not_a_positive_int(count):
+    g = CartesianGrid(dx=(0.5,), dt=0.25)
+    mu = DiscreteMeasure(g, {(0,): 1.0})
+    kernels = make_kernels(mu, SchemeSpec("upwind"), constant(1.0), 2)
+    with pytest.raises(ValueError, match="positive int"):
+        sample_paths(mu, kernels, count, seed=1)
+    assert sample_paths(mu, kernels, np.int64(3), seed=1).paths.shape == (3, 3, 1)
+
+
+def test_empirical_law_refuses_a_step_outside_the_paths():
+    g = CartesianGrid(dx=(0.5,), dt=0.25)
+    mu = DiscreteMeasure(g, {(0,): 1.0})
+    batch = sample_paths(mu, make_kernels(mu, SchemeSpec("upwind"), constant(1.0), 3),
+                         50, seed=2)
+    for n in (-1, 4, -4, 10 ** 9):
+        with pytest.raises(ValueError, match=r"outside 0\.\.3"):
+            empirical_law(batch, n)
+    assert empirical_law(batch, 0).weights == {(0,): 1.0}
+    assert sum(empirical_law(batch, 3).weights.values()) == pytest.approx(1.0)
+
+
 def test_identity_kernels_freeze_paths():
     g = CartesianGrid(dx=(0.5,), dt=0.25)
     mu = DiscreteMeasure(g, {(1,): 0.3, (4,): 0.7})
