@@ -14,10 +14,10 @@ side, with the speed-up of every case that both have.  Cases use only calls
 that both sides have: `quantile`, `quantile_of_analytic`, `wp_1d`, `w1_pair`,
 `l1_grid_vs_pieces`, `QuantileFunction.from_masses`,
 `harness.run_resolution`, `harness.run_study`, `harness.run_tri_study`,
-`make_kernels`, `sample_paths`, `increment_residual` and `empirical_law` of
-`stochastic`, `structured_mesh`, `NodeMeasure` and `sl_run` of `simplex`,
-and `exact_solution` with its `measure` and `quantile_fn` for each name in
-`harness.EXAMPLES`; the one exception is the window semi-Lagrangian step,
+`schemes.run`, `make_kernels`, `sample_paths`, `increment_residual` and
+`empirical_law` of `stochastic`, `structured_mesh`, `NodeMeasure` and
+`sl_run` of `simplex`, and `exact_solution` with its `measure` and
+`quantile_fn` for each name in `harness.EXAMPLES`; the one exception is the window semi-Lagrangian step,
 timed only where `simplex.kuhn_rows` exists.
 
 Cases:
@@ -40,6 +40,11 @@ Cases:
     and `empirical_law` of the last step on that batch, each timed once per
     run in the order a chain uses them, each of the K runs of a chain in a
     fresh interpreter with PYTHONPATH set to --src;
+  * `schemes.run` on the six scheme runs of the benchmark's sparse-chain-nd
+    workload (upwind and Rusanov in d = 1, 2, 3, from a Dirac under the
+    chains' product step field, dx = 1/16 at CFL 0.9), each timed once after
+    one untimed round of all six, and the six in all, each of the K runs in
+    a fresh interpreter with PYTHONPATH set to --src;
   * `run_tri_study` on the default `TriStudyConfig`, which steps a window of
     grid nodes along the Kuhn rows and builds no mesh; one window
     semi-Lagrangian step of it (`kuhn_rows` plus one `apply_window`) on its
@@ -58,10 +63,10 @@ Cases:
     interpreter with PYTHONPATH set to --src (the median of 5 passes after
     a warm-up pass).
 
-In-process timings of the exact-solution calls and of the Markov-chain
-cases move with the heap state of the process, so those two kinds of case
-run in fresh interpreters.  With --base, their runs alternate between
---base, recorded under the label `before`, and --src, in turn first.
+In-process timings of the exact-solution calls, the Markov-chain cases and
+the scheme runs move with the heap state of the process, so those three
+kinds of case run in fresh interpreters.  With --base, their runs alternate
+between --base, recorded under the label `before`, and --src, in turn first.
 
 Besides the times, each label records the peak RSS of this process and of
 its children (`ru_maxrss` of RUSAGE_SELF and RUSAGE_CHILDREN), both read
@@ -110,6 +115,9 @@ BUDGET_S = 20.0  # seconds after which a case stops repeating
 # the sparse-chain-nd chains of certbench/workloads.py: (kind, dims, steps),
 # with PATHS sampled paths and a per-state mean test from MIN_VISITS visits
 CHAINS = (("upwind", 1, 12), ("rusanov", 2, 8))
+# the sparse-chain-nd scheme runs of certbench/workloads.py: (kind, dims, steps)
+SCHEME_RUNS = (("upwind", 1, 300), ("rusanov", 1, 150), ("upwind", 2, 60),
+               ("rusanov", 2, 36), ("upwind", 3, 24), ("rusanov", 3, 14))
 PATHS = 100_000
 MIN_VISITS = 100
 # the wide sl_run of certbench's tri-sl workload: cells per side, half width
@@ -139,6 +147,12 @@ CHAIN_CALLS = ("import json, sys\n"
                "sys.path.insert(0, sys.argv[1])\n"
                "import bench\n"
                "print(json.dumps(bench.chain_times(*sys.argv[2:])))\n")
+# the scheme-run case: argv is this directory; prints the seconds of each run
+# as a JSON object
+RUN_CALLS = ("import json, sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "import bench\n"
+             "print(json.dumps(bench.run_times()))\n")
 
 
 def _machine() -> dict:
@@ -337,16 +351,48 @@ def chain_times(kind: str, dims: str, steps: str) -> dict:
     return times
 
 
+def run_times() -> dict:
+    """{case: seconds} of `schemes.run` on each of SCHEME_RUNS, timed once
+    after an untimed round of all of them, and of the round, in this process
+    on the mtlab that it imports."""
+    import mtlab.measures
+    import mtlab.schemes
+    import mtlab.velocity
+
+    cases = [(_chain_case(mtlab, kind, dims), kind, dims, steps)
+             for kind, dims, steps in SCHEME_RUNS]
+    for (mu0, spec, field), _, _, steps in cases:
+        mtlab.schemes.run(mu0, spec, field, steps)
+    times = {}
+    for (mu0, spec, field), kind, dims, steps in cases:
+        start = time.perf_counter()
+        mtlab.schemes.run(mu0, spec, field, steps)
+        times[f"schemes.run {kind} d={dims} steps={steps}"] = time.perf_counter() - start
+    times["schemes.run sparse-chain-nd round"] = sum(times.values())
+    return times
+
+
+def _json_cases(outs: dict) -> dict:
+    """{label: cases} of fresh runs that each print {case: seconds}."""
+    cases = {label: {} for label in outs}
+    for label, runs in outs.items():
+        runs = [json.loads(out) for out in runs]
+        for name in runs[0]:
+            rs = [run[name] for run in runs]
+            cases[label][name] = {"median_s": statistics.median(rs), "runs_s": rs}
+    return cases
+
+
 def _chain_calls(srcs: dict) -> dict:
-    """{label: cases} of the Markov-chain cases, in fresh interpreters."""
+    """{label: cases} of the Markov-chain cases and the scheme runs, in fresh
+    interpreters."""
+    outs = [_fresh_runs(srcs, CHAIN_CALLS, HERE, kind, str(dims), str(steps))
+            for kind, dims, steps in CHAINS]
+    outs.append(_fresh_runs(srcs, RUN_CALLS, HERE))
     cases = {label: {} for label in srcs}
-    for kind, dims, steps in CHAINS:
-        outs = _fresh_runs(srcs, CHAIN_CALLS, HERE, kind, str(dims), str(steps))
-        for label, runs in outs.items():
-            runs = [json.loads(out) for out in runs]
-            for name in runs[0]:
-                rs = [run[name] for run in runs]
-                cases[label][name] = {"median_s": statistics.median(rs), "runs_s": rs}
+    for out in outs:
+        for label, found in _json_cases(out).items():
+            cases[label].update(found)
     return cases
 
 

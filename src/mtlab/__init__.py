@@ -19,7 +19,7 @@ from .measures import (  # noqa: E402
     quantile,
     uniform,
 )
-from .schemes import CflError, CflReport, SchemeSpec, check_cfl, run, step
+from .schemes import CflError, CflReport, SchemeSpec, check_cfl, run, run_last, step
 from .stochastic import (
     TransitionKernel,
     TrajectoryBatch,

@@ -26,7 +26,7 @@ from .harness import (
     run_tri_study,
 )
 from .measures import deserialize, project_initial, serialize, uniform
-from .schemes import CflError, SchemeSpec, step
+from .schemes import CflError, SchemeSpec, run_last
 from .stochastic import (
     empirical_law,
     increment_residual,
@@ -130,10 +130,9 @@ def _cmd_run(args) -> int:
     cfg = _study_config(args)
     grid = cfg.grid_for(args.N)
     mu = project_initial(cfg.initial(), grid)
-    spec, field = SchemeSpec(cfg.scheme), cfg.field()
-    # keep only the current measure: a whole history is O(steps) measures
-    for n in range(_run_steps(cfg.T, grid.dt, args.N)):
-        mu = step(mu, spec, field, n)
+    # keep only the current window: a whole history is O(steps) measures
+    mu = run_last(mu, SchemeSpec(cfg.scheme), cfg.field(),
+                  _run_steps(cfg.T, grid.dt, args.N))
     text = serialize(mu)
     if cfg.out:
         with open(cfg.out, "w") as fh:

@@ -4,12 +4,13 @@ A study runs one scheme over a ladder of resolutions on a fixed box, measures
 the distance to the exact solution at every step, keeps the per-resolution
 maximum, and fits the order of convergence by least squares on the log-log
 cloud.  One loop, `run_resolution`, runs a resolution of either study with
-the stepper its config supplies, and one window step, `_advance`, moves both:
-a dense window (lo, box) of grid nodes in any d, stepped by `apply_window`
-along the rows and moves its config gives, pruned under a fixed budget of
-dropped mass and trimmed to its nonzero bounding box.  A grid study gives the
-scheme's rows (computed once, on every node the run can reach, for a field
-constant in time), a triangulated study the semi-Lagrangian rows of its speed
+the stepper its config supplies, and one window step, `schemes._advance`
+(which `schemes.run` uses too), moves both: a dense window (lo, box) of grid
+nodes in any d, stepped by `apply_window` along the rows and moves its
+config gives, pruned under a fixed budget of dropped mass and trimmed to its
+nonzero bounding box.  A grid study gives the scheme's rows (computed once,
+on every node the run can reach, for a field constant in time), a
+triangulated study the semi-Lagrangian rows of its speed
 (`simplex.kuhn_rows`).  `CERTIFIED` is the one table of the studies that
 certify the paper's claims, each with the window its fitted order must lie in.
 
@@ -58,7 +59,7 @@ from .measures import (
 from .schemes import (
     CflReport,
     SchemeSpec,
-    apply_window,
+    _advance,
     check_cfl,
     measure_arrays,
     transition_rows,
@@ -70,7 +71,6 @@ from .wasserstein import check_order, l1_grid_vs_pieces, wp_1d
 
 DEFAULT_LADDER = (100, 200, 400, 800, 1600, 3200)
 DEFAULT_DOMAIN = (-2.5, 2.5)
-_PRUNE_BUDGET = 1e-10  # largest mass a run of a pruning study may drop in all
 
 _WP_RE = re.compile(r"wp\(([^)]+)\)")
 
@@ -240,32 +240,6 @@ class StudyConfig:
                          exact.quantile_fn(t), self.order)
 
         return steps, grid.dt, dx, (lo, box), _advance(rows_at, None, 0.0), distance
-
-
-def _advance(rows_at, moves, prune: float):
-    """advance(n, (lo, box)) of every study: one `apply_window` step along
-    rows_at(n, lo, box) and the moves, weights below prune dropped (a
-    RuntimeError past _PRUNE_BUDGET), the box trimmed to its nonzero cells."""
-    pruned = 0.0
-
-    def advance(n, state):
-        nonlocal pruned
-        lo, box = apply_window(*state, rows_at(n, *state), moves, pruned)
-        if prune > 0.0:
-            small = box < prune
-            pruned += math.fsum(box[small])
-            if pruned > _PRUNE_BUDGET:
-                raise RuntimeError(f"pruned mass {pruned:.3e} exceeds budget")
-            box[small] = 0.0
-        # the cells come in C order, so the first axis's come sorted
-        first, *rest = box.nonzero()
-        keep = [slice(first[0], first[-1] + 1),
-                *(slice(k.min(), k.max() + 1) for k in rest)]
-        for axis, cut in enumerate(keep):
-            lo[axis] += cut.start  # lo is apply_window's own array
-        return lo, box[tuple(keep)]
-
-    return advance
 
 
 def step_count(T: float, dt: float) -> int:

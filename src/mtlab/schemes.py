@@ -13,10 +13,12 @@ coefficients into per-node move probabilities in the fixed neighbor order
 stay, +e_1, -e_1, ..., +e_d, -e_d, and `apply_window` applies the step to a
 dense bounding-box window by shifted slices, checking mass and positivity
 there; it takes any move list in {-1, 0, 1}^d, as `simplex.kuhn_rows` needs.
-The sparse dict of `DiscreteMeasure` is only the API boundary: `step`
-scatters its support into a window (`to_window`) and reads the result back,
-the Markov-chain kernels store the rows themselves, and the study harness
-keeps its windows between steps.
+One window step, `_advance`, moves every window run: the study harness's, and
+`run`'s, which keeps its window (lo, box) from step to step and takes each
+step's rows from `transition_rows` on the window's nonzero cells.  The sparse
+dict of `DiscreteMeasure` is only the API boundary: `run` builds one measure
+per history entry, `run_last` one at the end, and `step` is a one-step run;
+the Markov-chain kernels store the rows themselves.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ KNOWN_SCHEMES = ("upwind", "rusanov")
 # largest dense window a step may allocate (32 MB of float64); a support
 # spread wider than this, e.g. far-apart atoms in d >= 2, is refused
 _MAX_WINDOW_CELLS = 2 ** 22
+_PRUNE_BUDGET = 1e-10  # largest mass a run of a pruning study may drop in all
 
 
 class WindowError(ValueError):
@@ -234,27 +237,102 @@ def measure_arrays(mu: DiscreteMeasure) -> tuple[list[MultiIndex], np.ndarray, n
     return keys, idx, w
 
 
-def _window_measure(
-    grid: CartesianGrid,
-    lo: np.ndarray,
-    box: np.ndarray,
-    keys: list[MultiIndex],
-    idx: np.ndarray,
-) -> DiscreteMeasure:
-    """The nonzero cells of a window as a measure, in lexicographic order.
+def _advance(rows_at, moves, prune: float):
+    """advance(n, (lo, box)) of every window run: one `apply_window` step
+    along rows_at(n, lo, box) and the moves, weights below prune dropped (a
+    RuntimeError past _PRUNE_BUDGET), the box trimmed to its nonzero cells."""
+    pruned = 0.0
 
-    A node of idx keeps its key object keys[k], so a history of steps shares
-    the multi-index tuples of the nodes that stay in the support.  The reuse
-    is kept for memory: building fresh key tuples gave hash-identical outputs
-    but raised certbench's `sparse-chain-nd` peak RSS from 81.1-81.4 MB to
-    92.5-95.0 MB (14-17%, 3 pairs of 8-second runs on 2 cores)."""
-    pos = np.flatnonzero(box)
-    src = np.full(box.size, -1, dtype=np.int64)
-    src[np.ravel_multi_index(tuple((idx - lo).T), box.shape)] = np.arange(len(idx))
-    coords = (np.column_stack(np.unravel_index(pos, box.shape)) + lo).tolist()
-    out_keys = [keys[s] if s >= 0 else tuple(c)
-                for s, c in zip(src[pos].tolist(), coords)]
-    return DiscreteMeasure(grid, dict(zip(out_keys, box.ravel()[pos].tolist())))
+    def advance(n, state):
+        nonlocal pruned
+        lo, box = apply_window(*state, rows_at(n, *state), moves, pruned)
+        if prune > 0.0:
+            small = box < prune
+            pruned += math.fsum(box[small])
+            if pruned > _PRUNE_BUDGET:
+                raise RuntimeError(f"pruned mass {pruned:.3e} exceeds budget")
+            box[small] = 0.0
+        # the cells come in C order, so the first axis's come sorted
+        first, *rest = box.nonzero()
+        keep = [slice(first[0], first[-1] + 1),
+                *(slice(k.min(), k.max() + 1) for k in rest)]
+        for axis, cut in enumerate(keep):
+            lo[axis] += cut.start  # lo is apply_window's own array
+        return lo, box[tuple(keep)]
+
+    return advance
+
+
+def _carry(names: np.ndarray, lo: np.ndarray, new_lo: np.ndarray,
+           shape: tuple[int, ...]) -> np.ndarray:
+    """A C-contiguous object window of the given shape and corner new_lo,
+    holding the keys of names (corner lo) on the nodes both cover, None
+    elsewhere.  A step's window lies within one cell of the one before it,
+    so the bounds of the overlap, empty or not, lie in both.  (Padding names
+    as the step pads the box and copying the cut costs 2-3.6x as much.)"""
+    out = np.empty(shape, dtype=object)
+    src, dst = [], []
+    for a, b, size, new_size in zip(lo.tolist(), new_lo.tolist(), names.shape, shape):
+        start, stop = max(a, b), min(a + size, b + new_size)
+        src.append(slice(start - a, stop - a))
+        dst.append(slice(start - b, stop - b))
+    out[tuple(dst)] = names[tuple(src)]
+    return out
+
+
+def _walk(mu: DiscreteMeasure, spec: SchemeSpec, field: VelocityField,
+          first: int, steps: int, history: bool) -> list[DiscreteMeasure]:
+    """The measures of the scheme's steps first, ..., first + steps - 1 from
+    mu, after every step if history, else after the last one only.
+
+    The run keeps one window (lo, box) from step to step (`_advance`), each
+    step's rows computed on the window's nonzero cells.  Next to box it
+    carries an object window of key tuples (None where a cell has none yet),
+    so a node keeps its key object while it stays in the window and a
+    history shares the tuples of the nodes that stay in the support.  The
+    reuse is kept for memory: building fresh key tuples gave hash-identical
+    outputs but raised certbench's `sparse-chain-nd` peak RSS from
+    81.1-81.4 MB to 92.5-95.0 MB (14-17%, 3 pairs of 8-second runs on 2
+    cores)."""
+    grid = mu.grid
+    if not mu.weights:
+        raise ValueError("the scheme needs a measure with nonempty support, "
+                         "not an empty one")
+    check_cfl(spec, field, grid).require()
+    if not steps:
+        return []
+    keys, idx, w = measure_arrays(mu)
+    lo, shape = bounding_box(idx)
+    _check_window(tuple(s + 2 for s in shape))  # before allocating, as to_window
+    cells = tuple((idx - lo).T)
+    box = np.zeros(shape)
+    box[cells] = w
+    names = np.empty(shape, dtype=object)
+    names[cells] = np.fromiter(keys, dtype=object, count=len(keys))
+
+    def rows_at(n, lo, box):
+        rows = np.zeros((2 * grid.dims + 1,) + box.shape)
+        rows[(slice(None),) + cells] = transition_rows(
+            spec, field, n, np.column_stack(cells) + lo, grid)
+        return rows
+
+    advance = _advance(rows_at, None, 0.0)
+    out = []
+    for n in range(first, first + steps):
+        new_lo, box = advance(n, (lo, box))
+        names = _carry(names, lo, new_lo, box.shape)
+        lo, cells = new_lo, box.nonzero()
+        if not history and n < first + steps - 1:
+            continue
+        keys = names[cells]
+        fresh = np.flatnonzero(np.equal(keys, None))
+        if fresh.size:  # name the nodes that entered the window
+            new = tuple(c[fresh] for c in cells)
+            coords = (np.column_stack(new) + lo).tolist()
+            keys[fresh] = names[new] = np.fromiter(map(tuple, coords), dtype=object,
+                                                   count=len(coords))
+        out.append(DiscreteMeasure(grid, dict(zip(keys.tolist(), box[cells].tolist()))))
+    return out
 
 
 @dataclass(frozen=True)
@@ -290,24 +368,35 @@ def check_cfl(spec: SchemeSpec, field: VelocityField, grid: CartesianGrid) -> Cf
                         * math.fsum(grid.dt / h for h in grid.dx))
 
 
+def _is_int(v) -> bool:
+    """v is a Python or numpy integer, not a bool."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _check_steps(steps) -> None:
+    """ValueError unless steps is a nonnegative int."""
+    if not _is_int(steps) or steps < 0:
+        raise ValueError(f"steps must be a nonnegative int, not {steps!r}")
+
+
 def step(
     mu: DiscreteMeasure, spec: SchemeSpec, field: VelocityField, n: int
 ) -> DiscreteMeasure:
-    """One scheme step in gather (convex combination) form."""
-    grid = mu.grid
-    check_cfl(spec, field, grid).require()
-    keys, idx, w = measure_arrays(mu)
-    probs = transition_rows(spec, field, n, idx, grid)
-    lo, box = apply_window(*to_window(idx, w, probs))
-    return _window_measure(grid, lo, box, keys, idx)
+    """Step n of the scheme from mu, in gather (convex combination) form."""
+    return _walk(mu, spec, field, n, 1, history=False)[0]
 
 
 def run(
     mu0: DiscreteMeasure, spec: SchemeSpec, field: VelocityField, steps: int
 ) -> list[DiscreteMeasure]:
     """Iterate the scheme; returns [mu0, mu1, ..., mu_steps]."""
-    check_cfl(spec, field, mu0.grid).require()
-    out = [mu0]
-    for n in range(steps):
-        out.append(step(out[-1], spec, field, n))
-    return out
+    _check_steps(steps)
+    return [mu0, *_walk(mu0, spec, field, 0, steps, history=True)]
+
+
+def run_last(
+    mu0: DiscreteMeasure, spec: SchemeSpec, field: VelocityField, steps: int
+) -> DiscreteMeasure:
+    """mu_steps of `run`, with no history kept."""
+    _check_steps(steps)
+    return (_walk(mu0, spec, field, 0, steps, history=False) or [mu0])[-1]

@@ -37,7 +37,9 @@ import numpy as np
 from .measures import CartesianGrid, DiscreteMeasure, MultiIndex
 from .schemes import (
     SchemeSpec,
+    _check_steps,
     _check_window,
+    _is_int,
     apply_window,
     bounding_box,
     check_cfl,
@@ -73,11 +75,6 @@ def _group(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
     counts = np.diff(np.r_[first, len(keys)])
     return np.column_stack(np.unravel_index(keys[first], shape)) + lo, counts, order
-
-
-def _is_int(v) -> bool:
-    """v is a Python or numpy integer, not a bool."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def check_rows(sources: np.ndarray, probs: np.ndarray) -> None:
@@ -196,6 +193,7 @@ def make_kernels(
     steps: int,
 ) -> list[TransitionKernel]:
     """Per-step kernels built lazily on the propagated law's support."""
+    _check_steps(steps)
     _, idx, w = measure_arrays(mu0)
     kernels = []
     for n in range(steps):
@@ -284,7 +282,15 @@ def increment_residual(
     if batch.count < 1:
         raise ValueError("empty batch")
     out = []
-    steps = batch.paths.shape[1] - 1
+    steps, dims = batch.paths.shape[1] - 1, batch.paths.shape[2]
+    running = np.empty(batch.count)
+
+    def total(x):
+        """Sum of a column x of a block as numpy sums the block's axis 0:
+        pairwise for d = 1, one row after another (the last running sum)
+        for d >= 2."""
+        return x.sum() if dims == 1 else np.cumsum(x, out=running[:len(x)])[-1]
+
     for n in range(steps):
         cur = batch.paths[:, n, :]
         states, visits, order = _group(cur)
@@ -298,10 +304,12 @@ def increment_residual(
         for h_i in h[1:]:
             sq += h_i * h_i
         habs = np.sqrt(sq)
-        # a row-major (count, d) stack of h by state, path order kept within
-        # each state: the per-state mean and std reduce the same blocks of
-        # rows as on a row-major h, so they are bit for bit the same
-        by_state = np.column_stack([h_i[order] for h_i in h])
+        # per-state mean and std from contiguous per-axis columns of h by
+        # state, path order kept within each state; `total` sums as numpy
+        # sums axis 0 of the row-major (v, d) block hs, so they are bit for
+        # bit hs.mean(axis=0) and hs.std(axis=0, ddof=1), without numpy's
+        # slow axis-0 reduce over narrow rows
+        cols = [h_i[order] for h_i in h]
         per_state: dict[MultiIndex, tuple[int, np.ndarray, float]] = {}
         skipped: dict[MultiIndex, int] = {}
         end = 0
@@ -310,10 +318,13 @@ def increment_residual(
             if v < min_visits:
                 skipped[J] = v
                 continue
-            hs = by_state[end - v:end]
-            mean = hs.mean(axis=0)
-            stderr = float(hs.std(axis=0, ddof=1).max() / math.sqrt(v)) \
-                if v > 1 else 0.0
+            blocks = [col[end - v:end] for col in cols]
+            mean = np.array([total(b) / v for b in blocks])
+            stderr = 0.0
+            if v > 1:  # numpy's _var: squared deviations from the mean
+                devs = [b - m for b, m in zip(blocks, mean)]
+                var = [total(np.square(x, out=x)) / (v - 1) for x in devs]
+                stderr = float(np.sqrt(var).max()) / math.sqrt(v)
             per_state[J] = (v, mean, stderr)
         out.append(
             StepIncrementStats(

@@ -2,6 +2,7 @@
 
 import bisect
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from mtlab.schemes import (
     WindowError,
     apply_window,
     neighbor_moves,
+    run,
+    run_last,
     step,
     to_window,
     transition_rows,
@@ -64,6 +67,86 @@ def test_step_reuses_surviving_keys():
     assert len(out.weights) == 8 + 5  # the first two atoms share two nodes
 
 
+# sha1 of repr(list(mu.weights.items())) over the run histories below, as
+# the per-step engine that rebuilt its window from the dict at every step
+# recorded them; a run that keeps its window must reproduce them bit for bit
+RUN_HISTORY_SHA1 = {
+    ("upwind", 1): "401a3f9b7a6df9f872de957e76cd33817db86f70",
+    ("upwind", 2): "a4ac4cc76b0fadadea6d966c489df1deaf8346ad",
+    ("upwind", 3): "02a476195473e7c889c31780ee3f9a60465d6fcc",
+    ("rusanov", 1): "61fd9858efdb228c98392bf479cdd09675da7c6f",
+    ("rusanov", 2): "c9c54bb7c3c904fdc8b923de7b96fd326c2bdd12",
+    ("rusanov", 3): "f270f4814fde0e5843e82ad0193744b8fc7f9191",
+}
+
+
+@pytest.mark.parametrize("kind,dims", list(RUN_HISTORY_SHA1))
+def test_run_histories_match_their_recorded_hashes(kind, dims):
+    rng = np.random.default_rng(600 + 10 * dims + len(kind))
+    f = random_osl_field(rng, dims)
+    g = grid_for(f, dims, safety=0.5 if kind == "rusanov" else 1.0)
+    steps = {1: 40, 2: 15, 3: 8}[dims]
+    digest = hashlib.sha1()
+    for _ in range(3):
+        mu = random_measure(rng, g, max_points=8, span=4)
+        hist = run(mu, SchemeSpec(kind), f, steps)
+        assert len(hist) == steps + 1 and hist[0] is mu
+        for m in hist:
+            digest.update(repr(list(m.weights.items())).encode())
+        last = run_last(mu, SchemeSpec(kind), f, steps)
+        assert list(last.weights.items()) == list(hist[-1].weights.items())
+    assert digest.hexdigest() == RUN_HISTORY_SHA1[kind, dims]
+
+
+@pytest.mark.parametrize("dims", [2, 3])
+def test_run_history_shares_the_keys_of_surviving_nodes(dims):
+    # a node in the support of two consecutive measures has one key object
+    # in both: fresh tuples per step cost peak memory (see schemes._walk)
+    rng = np.random.default_rng(30 + dims)
+    f = random_osl_field(rng, dims)
+    g = grid_for(f, dims, safety=0.5)
+    mu = random_measure(rng, g, max_points=5, span=3)
+    hist = run(mu, SchemeSpec("rusanov"), f, 6)
+    for before, after in zip(hist, hist[1:]):
+        keys = {J: J for J in after.weights}
+        shared = [J for J in before.weights if J in keys]
+        assert shared
+        assert all(keys[J] is J for J in shared)
+
+
+def test_run_follows_a_dirac_that_leaves_its_window():
+    # at CFL 1 upwind moves all the weight one cell a step, so each window
+    # shares no node with the one before it
+    g = CartesianGrid(dx=(0.5,), dt=0.5)
+    hist = run(DiscreteMeasure(g, {(3,): 1.0}), SchemeSpec("upwind"), constant(1.0), 4)
+    assert [list(mu.weights.items()) for mu in hist] == [[((3 + n,), 1.0)]
+                                                         for n in range(5)]
+
+
+def test_scheme_refuses_an_empty_measure():
+    g = CartesianGrid(dx=(0.25, 0.25), dt=0.05)
+    empty = DiscreteMeasure(g, {})
+    for call in (lambda: run(empty, SchemeSpec("upwind"), constant([0.5, 0.5]), 3),
+                 lambda: run_last(empty, SchemeSpec("upwind"), constant([0.5, 0.5]), 3),
+                 lambda: step(empty, SchemeSpec("upwind"), constant([0.5, 0.5]), 0)):
+        with pytest.raises(ValueError, match="empty"):
+            call()
+
+
+@pytest.mark.parametrize("steps", [-1, True, 2.0, "3", None])
+def test_runs_refuse_a_step_count_that_is_not_a_nonnegative_int(steps):
+    g = CartesianGrid(dx=(0.5,), dt=0.25)
+    mu = DiscreteMeasure(g, {(0,): 1.0})
+    for call in (run, run_last, make_kernels):
+        with pytest.raises(ValueError, match="steps must be a nonnegative int"):
+            call(mu, SchemeSpec("upwind"), constant(1.0), steps)
+    # zero steps and numpy integers are counts
+    assert run(mu, SchemeSpec("upwind"), constant(1.0), 0) == [mu]
+    assert run_last(mu, SchemeSpec("upwind"), constant(1.0), 0) is mu
+    assert len(run(mu, SchemeSpec("upwind"), constant(1.0), np.int64(2))) == 3
+    assert make_kernels(mu, SchemeSpec("upwind"), constant(1.0), 0) == []
+
+
 def test_window_cap_is_a_classified_error():
     g = CartesianGrid(dx=(0.25, 0.25), dt=0.1)
     mu = DiscreteMeasure(g, {(0, 0): 0.5, (3000, 3000): 0.5})
@@ -72,6 +155,19 @@ def test_window_cap_is_a_classified_error():
     with pytest.raises(WindowError):
         make_kernels(mu, SchemeSpec("upwind"), constant([0.5, 0.5]), 1)
     assert issubclass(WindowError, ValueError)
+
+
+def test_runs_check_the_window_cap_before_allocating():
+    # a box of 5001^3 cells: allocated, it would be a MemoryError, not a WindowError
+    g = CartesianGrid(dx=(0.25, 0.25, 0.25), dt=0.05)
+    mu = DiscreteMeasure(g, {(0, 0, 0): 0.5, (5000, 5000, 5000): 0.5})
+    field, spec = constant([0.5, 0.5, 0.5]), SchemeSpec("upwind")
+    for call in (lambda: run(mu, spec, field, 3), lambda: run_last(mu, spec, field, 3),
+                 lambda: step(mu, spec, field, 0)):
+        with pytest.raises(WindowError):
+            call()
+    # zero steps build no window
+    assert run(mu, spec, field, 0) == [mu]
 
 
 def test_apply_window_checks_mass_and_positivity():

@@ -8,8 +8,10 @@ No linter ships with the project, so these are its checks:
   example, so that `flows.EXAMPLES` stays the one list of the examples;
 - neither the acceptance tests nor the study script builds a study config,
   so that `harness.CERTIFIED` stays the one list of the certified studies;
-- `harness.py` calls `apply_window` once, in its one window step, so that a
-  second study loop cannot come back.
+- `schemes.py` calls `apply_window` once, in its one window step
+  `_advance`, and `harness.py` never calls it, so every study and every
+  scheme run steps in that one place and a second study loop cannot come
+  back.
 """
 
 import ast
@@ -118,7 +120,9 @@ def test_study_config_check_flags_a_construction():
 
 
 def test_harness_steps_every_study_in_one_place():
-    assert len(calls_of({"apply_window"}, (SRC / "harness.py").read_text())) == 1
+    # the one window step is schemes._advance; harness hands it the rows
+    assert calls_of({"apply_window"}, (SRC / "harness.py").read_text()) == []
+    assert len(calls_of({"apply_window"}, (SRC / "schemes.py").read_text())) == 1
 
 
 def test_call_check_counts_bare_and_attribute_calls():
