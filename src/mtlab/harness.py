@@ -178,6 +178,7 @@ class StudyConfig:
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or self.seed < 0):
             raise ConfigError(f"seed must be a nonnegative integer, not {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if not (self.out is None or isinstance(self.out, str)):
             raise ConfigError(f"out must be a path, not {self.out!r}")
         object.__setattr__(self, "order", _distance_order(self.distance))
@@ -428,8 +429,9 @@ def emit_report(report: ConvergenceReport, path: str) -> tuple[str, str]:
     configurations.
     """
     csv_path, json_path = path + ".csv", path + ".json"
-    _atomic_write(csv_path, report_csv(report))
-    _atomic_write(json_path, report_json(report))
+    csv_text, json_text = report_csv(report), report_json(report)
+    _atomic_write(csv_path, csv_text)
+    _atomic_write(json_path, json_text)
     return csv_path, json_path
 
 

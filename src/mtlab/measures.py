@@ -44,8 +44,8 @@ class CartesianGrid:
             raise ValueError("grid needs at least one axis")
         if any(not (h > 0.0) for h in self.dx):
             raise ValueError("all cell widths must be positive")
-        if not (self.dt > 0.0):
-            raise ValueError("time step must be positive")
+        if not (0.0 < self.dt < math.inf):
+            raise ValueError("time step must be positive and finite")
         if max(self.dx) > 1.0:
             raise ValueError("cell widths must not exceed 1")
 

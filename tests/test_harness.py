@@ -86,11 +86,13 @@ def test_config_refuses_a_value_of_the_wrong_type(make, field, value):
 
 
 def test_config_stores_times_and_ratios_as_floats():
-    cfg = StudyConfig(T=np.int64(2), cfl=np.float32(0.5))
+    cfg = StudyConfig(T=np.int64(2), cfl=np.float32(0.5), seed=np.int64(3))
     tri = TriStudyConfig(T=1, cfl=1, prune=0)
     for x in (cfg.T, cfg.cfl, tri.T, tri.cfl, tri.prune):
         assert type(x) is float
-    assert (cfg.T, cfg.cfl, tri.T, tri.cfl, tri.prune) == (2.0, 0.5, 1.0, 1.0, 0.0)
+    assert type(cfg.seed) is int
+    assert (cfg.T, cfg.cfl, cfg.seed, tri.T, tri.cfl, tri.prune) == (
+        2.0, 0.5, 3, 1.0, 1.0, 0.0)
 
 
 def test_distance_order_is_parsed_once_and_classified():
@@ -385,6 +387,18 @@ def test_emit_report_unwritable_leaves_nothing(tmp_path):
         emit_report(rep, bad)
     assert not os.path.exists(bad + ".csv")
     assert not os.path.exists(bad + ".csv.tmp")
+
+
+def test_emit_report_renders_both_texts_before_writing(tmp_path, monkeypatch):
+    rep = run_study(StudyConfig(example="example1", ladder=(50, 100)))
+
+    def broken(report):
+        raise TypeError("unrenderable report")
+
+    monkeypatch.setattr(harness, "report_json", broken)
+    with pytest.raises(TypeError):
+        emit_report(rep, str(tmp_path / "out"))
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_tri_config_validation():

@@ -31,6 +31,8 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         CartesianGrid(dx=(0.5,), dt=0.0)
     with pytest.raises(ValueError):
+        CartesianGrid(dx=(0.5,), dt=math.inf)
+    with pytest.raises(ValueError):
         CartesianGrid(dx=(1.5,), dt=0.1)  # cell width above 1 rejected
 
 
@@ -177,6 +179,7 @@ def test_serialize_roundtrip():
     ("# mtlab measure d=1 dx=0.5 dt=0.25\n0 1.5\n1 -0.5\n", "probability"),
     ("# mtlab measure d=1 dt=0.25\n0 1.0\n", "header"),
     ("# mtlab measure d=1 dx=2.0 dt=0.25\n0 1.0\n", "header"),
+    ("# mtlab measure d=1 dx=0.5 dt=inf\n0 1.0\n", "header"),
     ("# mtlab measure d=1 dx=0.5 dt=0.25\nx 1.0\n", "line 2"),
     ("# mtlab measure d=1 dx=0.5 dt=0.25\n\n0 nan\n", "line 3"),
 ])
