@@ -34,7 +34,6 @@ from .stochastic import (
 from .flows import (
     ExactSolution,
     binomial_w1_exact,
-    central_binomial_ratio,
     euler_flow,
     euler_step,
     exact_solution,

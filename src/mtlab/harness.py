@@ -57,6 +57,7 @@ from .measures import (
     project_initial,
 )
 from .schemes import (
+    _MAX_WINDOW_CELLS,
     CflReport,
     SchemeSpec,
     _advance,
@@ -219,8 +220,14 @@ class StudyConfig:
         exact, dx = self.exact(), grid.dx[0]
         # a window grows by at most one cell per side per step, so idx_all
         # holds every node the run can reach; rows are elementwise per node
+        reach = len(box) + 2 * steps
+        if reach > _MAX_WINDOW_CELLS:
+            raise ConfigError(
+                f"resolution N={N}: {steps:.6g} steps can reach {reach:.6g} nodes, "
+                f"above the window cap of {_MAX_WINDOW_CELLS}; lower T or raise "
+                "the CFL ratio")
         base = int(lo[0]) - steps
-        idx_all = np.arange(base, int(lo[0]) + len(box) + steps)[:, None]
+        idx_all = np.arange(base, base + reach)[:, None]
         rows = (transition_rows(spec, fld, 0, idx_all, grid)
                 if fld.time_regularity == "constant" else None)
 
@@ -251,8 +258,13 @@ def step_count(T: float, dt: float) -> int:
 
 
 def _run_steps(T: float, dt: float, N: int) -> int:
-    """step_count(T, dt) of the run at resolution N; ConfigError when it is
-    zero, since a run with no step measures only the projection error."""
+    """step_count(T, dt) of the run at resolution N; ConfigError when T/dt is
+    not finite, or when it is zero, since a run with no step measures only
+    the projection error."""
+    dt = float(dt)
+    if not (dt > 0.0 and math.isfinite(T / dt)):
+        raise ConfigError(f"resolution N={N}: T={T!r} over dt={dt!r} is not a "
+                          "finite number of steps; lower T")
     steps = step_count(T, dt)
     if steps == 0:
         raise ConfigError(f"resolution N={N}: T={T!r} is shorter than one "

@@ -27,6 +27,7 @@ from .flows import quantile_of_analytic
 from .measures import (
     AnalyticMeasure,
     CartesianGrid,
+    DimensionError,
     DiscreteMeasure,
     QuantileFunction,
     quantile,
@@ -132,7 +133,9 @@ def wp_1d(mu_q: QuantileFunction, nu_q: QuantileFunction, p: float = 1.0) -> flo
 
 
 def wp_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> float:
-    """Exact W_p between discrete measures via the transport linear program."""
+    """Exact W_p between discrete measures via the transport linear program;
+    DimensionError unless both live in the same dimension."""
+    _check_same_dims(mu, nu)
     check_order(p)
     xm, wm = mu.positions(), mu.weight_array()
     xn, wn = nu.positions(), nu.weight_array()
@@ -160,9 +163,17 @@ def wp_discrete(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> flo
     return max(res.fun, 0.0) ** (1.0 / p)
 
 
+def _check_same_dims(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
+    if mu.grid.dims != nu.grid.dims:
+        raise DimensionError(f"cannot compare a d={mu.grid.dims} measure with "
+                             f"a d={nu.grid.dims} measure")
+
+
 def w1_pair(mu: DiscreteMeasure, nu: DiscreteMeasure, p: float = 1.0) -> float:
-    """W_p between two discrete measures, quantile route when 1D."""
-    if mu.grid.dims == 1 and nu.grid.dims == 1:
+    """W_p between two discrete measures of the same dimension, quantile
+    route when 1D."""
+    _check_same_dims(mu, nu)
+    if mu.grid.dims == 1:
         return wp_1d(quantile(mu), quantile(nu), p)
     return wp_discrete(mu, nu, p)
 

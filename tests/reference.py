@@ -34,14 +34,15 @@ sorted by position and built by `QuantileFunction.from_masses`; the flow
 maps and the image rule of `mtlab.flows` are tested against them.
 
 The oracles at the end are used by tests only: `binomial_w1_bruteforce` sums
-the binomial law term by term, `measure_from_quantile` pushes a step
-quantile back to a grid measure, and `parse_mesh` / `format_mesh` are a mesh
-text format.
+the binomial law term by term in exact fractions, `measure_from_quantile`
+pushes a step quantile back to a grid measure, and `parse_mesh` /
+`format_mesh` are a mesh text format.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -384,11 +385,13 @@ def reference_quantile(m):
     return QuantileFunction.from_masses(x, mass, slope)
 
 
-def binomial_w1_bruteforce(k, dx):
-    """Direct sum over the binomial weights; oracle for small k."""
-    n = 2 * k
-    weights = [math.comb(n, j) * 0.5 ** n for j in range(n + 1)]
-    return math.fsum(w * abs(j * dx - k * dx) for j, w in enumerate(weights))
+def binomial_w1_bruteforce(n, q, dx):
+    """dx E|Bin(n, q) - nq| as an exact Fraction sum over the binomial
+    weights, rounded once at the end."""
+    q = Fraction(q)
+    mad = sum(math.comb(n, j) * q ** j * (1 - q) ** (n - j) * abs(j - n * q)
+              for j in range(n + 1))
+    return dx * float(mad)
 
 
 def measure_from_quantile(q, grid):

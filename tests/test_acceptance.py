@@ -67,24 +67,23 @@ def test_01_binomial_error_full_pipeline():
     f = constant(1.0)
     hist = run(mu, SchemeSpec("upwind"), f, 40)
     worst = 0.0
-    for k in range(1, 21):
-        t = 2 * k * grid.dt
-        got = wp_1d(quantile(hist[2 * k]),
-                    exact_solution("binomial").quantile_fn(t), 1.0)
-        worst = max(worst, abs(got - binomial_w1_exact(k, dx)))
+    for n in range(1, 41):
+        got = wp_1d(quantile(hist[n]),
+                    exact_solution("binomial").quantile_fn(n * grid.dt), 1.0)
+        worst = max(worst, abs(got - binomial_w1_exact(n, 0.5, dx)))
     elapsed = time.perf_counter() - start
-    report(1, "closed-form binomial W1 error, k=1..20",
+    report(1, "closed-form binomial W1 error, n=1..40",
            worst <= 1e-12 and elapsed < 1.0,
            f"(max dev {worst:.2e}, {elapsed:.2f}s)")
 
 
 def test_02_asymptotic_constant():
     start = time.perf_counter()
-    k, dx = 5000, 0.01
-    ratio = binomial_w1_exact(k, dx) / math.sqrt(k * dx * dx)
+    n, dx = 10 ** 4, 0.01
+    ratio = binomial_w1_exact(n, 0.5, dx) / math.sqrt(n * 0.5 * dx * dx)
     dev = abs(ratio - 1.0 / math.sqrt(math.pi))
     elapsed = time.perf_counter() - start
-    report(2, "error ~ (1/sqrt(pi)) sqrt(t dx) at k=5000",
+    report(2, "error ~ (1/sqrt(pi)) sqrt(t dx) at n=10^4",
            dev <= 1e-2 and elapsed < 1.0, f"(dev {dev:.2e}, {elapsed:.3f}s)")
 
 

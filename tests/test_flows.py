@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from mtlab.flows import (
+    _N_MAX,
     EXAMPLES,
     ExactSolution,
     binomial_w1_exact,
-    central_binomial_ratio,
     euler_flow,
     euler_step,
     exact_solution,
@@ -203,38 +203,34 @@ def test_quantile_of_analytic_mixed():
 
 
 def test_binomial_w1_closed_form():
-    assert binomial_w1_exact(1, 0.5) == pytest.approx(0.25, abs=1e-16)
-    assert binomial_w1_exact(2, 1.0) == pytest.approx(0.75, abs=1e-15)
-    for k in range(1, 21):
-        exact = binomial_w1_exact(k, 0.5)
-        brute = binomial_w1_bruteforce(k, 0.5)
-        assert abs(exact - brute) <= 1e-13
+    assert binomial_w1_exact(2, 0.5, 0.5) == 0.25
+    assert binomial_w1_exact(4, 0.5, 1.0) == 0.75
+    assert binomial_w1_exact(np.int64(4), 0.5, 1.0) == 0.75
+    for q in (0.0, 0.1, 0.25, 0.3, 1 / 3, 0.5, 0.9, 1.0):
+        for n in range(81):
+            exact = binomial_w1_exact(n, q, 0.05)
+            brute = binomial_w1_bruteforce(n, q, 0.05)
+            assert abs(exact - brute) <= 1e-15 * brute, (n, q)
 
 
 def test_binomial_w1_asymptote():
-    k = 5000
-    dx = 0.01
-    t = k * dx  # 2k steps of dt = dx/2
-    ratio = binomial_w1_exact(k, dx) / math.sqrt(t * dx)
-    assert abs(ratio - 1.0 / math.sqrt(math.pi)) <= 1e-4
+    # W1 / sqrt(t dx) -> sqrt(2 (1 - q) / pi) with t = n q dx
+    n, dx = 10 ** 4, 0.01
+    for q in (0.5, 0.25):
+        ratio = binomial_w1_exact(n, q, dx) / math.sqrt(n * q * dx * dx)
+        assert abs(ratio - math.sqrt(2.0 * (1.0 - q) / math.pi)) <= 1e-4, q
 
 
 def test_binomial_w1_range_errors():
-    with pytest.raises(ValueError):
-        binomial_w1_exact(0, 0.5)
-    with pytest.raises(ValueError):
-        binomial_w1_exact(10 ** 9, 0.5)
-    with pytest.raises(ValueError):
-        binomial_w1_exact(3, -1.0)
-
-
-def test_central_binomial_ratio_crossover():
-    # recurrence and log-gamma branches agree around the switch point
-    from fractions import Fraction
-
-    for k in (499, 500, 501, 600):
-        direct = float(Fraction(math.comb(2 * k, k), 4 ** k))
-        assert central_binomial_ratio(k) == pytest.approx(direct, rel=1e-12)
+    assert binomial_w1_exact(0, 0.5, 0.5) == 0.0
+    assert binomial_w1_exact(_N_MAX, 0.5, 1.0) > 0.0
+    for n, q, dx in [
+        (-1, 0.5, 0.5), (True, 0.5, 0.5), (2.0, 0.5, 0.5), (_N_MAX + 1, 0.5, 0.5),
+        (3, math.nan, 0.5), (3, -0.1, 0.5), (3, 1.5, 0.5),
+        (3, 0.5, 0.0), (3, 0.5, -1.0), (3, 0.5, math.inf),
+    ]:
+        with pytest.raises(ValueError):
+            binomial_w1_exact(n, q, dx)
 
 
 def test_unknown_exact_solution():

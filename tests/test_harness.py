@@ -29,7 +29,7 @@ from mtlab.harness import (
     step_count,
 )
 from mtlab import harness
-from mtlab.flows import EXAMPLES
+from mtlab.flows import EXAMPLES, binomial_w1_exact
 from mtlab.measures import dirac, project_initial, serialize, uniform
 from mtlab.schemes import SchemeSpec, apply_window, run as run_scheme, transition_rows
 from mtlab.stochastic import increment_residual, make_kernels, sample_paths
@@ -253,6 +253,26 @@ def test_rows_of_a_constant_field_are_computed_once(monkeypatch, example, scheme
         cached, stepped = rows["constant", N], rows["lipschitz", N]
         assert cached.error == stepped.error
         assert cached.envelope_c == stepped.envelope_c
+
+
+@pytest.mark.parametrize("N", [400, 1600])
+@pytest.mark.parametrize("q, w2_rel", [(0.5, 1e-12), (0.25, 1e-11)])
+def test_binomial_study_errors_are_the_closed_forms(N, q, w2_rel):
+    # under the unit field at cfl q (a power of two, so dt/dx is q exactly)
+    # the walk after n steps is dx Bin(n, q) from the start node, so the W1
+    # error is dx E|Bin(n, q) - nq| and the W2 error dx sqrt(n q (1 - q))
+    for distance, rel, exact in (
+        ("w1", 1e-12, lambda n, h: binomial_w1_exact(n, q, h)),
+        ("wp(2)", w2_rel, lambda n, h: h * math.sqrt(n * q * (1.0 - q))),
+    ):
+        cfg = StudyConfig(example="binomial", cfl=q, distance=distance)
+        steps, dt, h, state, advance, error = cfg.resolution(N)
+        worst = 0.0
+        for n in range(steps):
+            state = advance(n, state)
+            ref = exact(n + 1, h)
+            worst = max(worst, abs(error((n + 1) * dt, state) - ref) / ref)
+        assert worst <= rel, (distance, worst)
 
 
 def test_error_decreases_with_resolution():
@@ -589,6 +609,16 @@ def test_step_count_rule():
     assert step_count(2.0, 0.5 * 5.0 / 3200) == 2560
 
 
+def test_step_count_refusals_name_the_resolution():
+    with pytest.raises(ConfigError, match=r"N=100: 4e\+301 steps can reach 8e\+301 nodes"):
+        StudyConfig(cfl=1e-300).resolution(100)
+    with pytest.raises(ConfigError, match=r"N=100: T=1e\+308 over dt=0\.025 is not a finite"):
+        StudyConfig(T=1e308).resolution(100)
+    # the triangulated study's dt is a numpy scalar; the message shows a float
+    with pytest.raises(ConfigError, match=r"\(dt=2\.529822128134703\)"):
+        TriStudyConfig().resolution(1)
+
+
 @pytest.mark.parametrize("text", [
     "",
     "0 1.0\n",
@@ -606,6 +636,22 @@ def test_cli_distance_rejects_bad_tables(tmp_path, capsys, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "measure" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("nodes", [((0,), (0, 0)), ((3,), (0, 0)), ((0, 0), (0, 0, 0))])
+def test_cli_distance_refuses_tables_of_different_dimensions(tmp_path, capsys, nodes):
+    # one Dirac per table, of the dimension of its node
+    from mtlab.measures import CartesianGrid, DiscreteMeasure, serialize
+
+    paths = [tmp_path / "left.txt", tmp_path / "right.txt"]
+    for path, node in zip(paths, nodes):
+        grid = CartesianGrid(dx=(0.5,) * len(node), dt=0.25)
+        path.write_text(serialize(DiscreteMeasure(grid, {node: 1.0})))
+    assert cli.main(["distance", *map(str, paths)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"I/O error: cannot compare a d={len(nodes[0])} measure "
+                            f"with a d={len(nodes[1])} measure\n")
 
 
 def test_cli_distance_refuses_tables_too_large_for_the_lp(tmp_path, capsys):
@@ -716,6 +762,11 @@ def test_one_resolution_fits_no_slope(capsys, argv):
     ["mc-compare", "--T", "0.001"],
     ["interp-check", "--eps", "0.5,1e17"],  # [eps, 1 + eps) is empty
     ["interp-check", "--eps", "9007199254740994"],  # [eps, 1 + eps) has width 2
+    ["run", "--T", "1e308"],  # T/dt is infinite
+    ["convergence", "--T", "1e308"],
+    ["mc-compare", "--T", "1e308"],
+    ["tri-run", "--T", "1e308"],
+    ["convergence", "--cfl", "1e-300", "--ladder", "100,200"],  # above the window cap
 ])
 def test_cli_bad_study_config_exits_2(capsys, argv):
     assert cli.main(argv) == 2

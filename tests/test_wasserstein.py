@@ -12,6 +12,7 @@ import pytest
 from mtlab.measures import (
     AnalyticMeasure,
     CartesianGrid,
+    DimensionError,
     DiscreteMeasure,
     QuantileFunction,
     dirac,
@@ -171,6 +172,16 @@ def test_cli_distance_2d_solves_the_lp_in_a_fresh_process(tmp_path):
     done = _fresh_python("-m", "mtlab.cli", "distance", str(a), str(b))
     assert done.returncode == 0, done.stderr
     assert float(done.stdout) == pytest.approx(1.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (2, 1), (2, 3)])
+def test_distances_refuse_measures_of_different_dimensions(dims):
+    mu, nu = (DiscreteMeasure(CartesianGrid(dx=(0.5,) * d, dt=0.25), {(0,) * d: 1.0})
+              for d in dims)
+    for distance in (w1_pair, wp_discrete):
+        with pytest.raises(DimensionError,
+                           match=f"d={dims[0]} measure with a d={dims[1]} measure"):
+            distance(mu, nu)
 
 
 def test_wp_discrete_scale_guard():
