@@ -14,7 +14,7 @@ import argparse
 import dataclasses
 import sys
 
-from mtlab.harness import CERTIFIED, StudyConfig, emit_report
+from mtlab.harness import CERTIFIED, StudyConfig, emit_report, run_study
 
 
 def main(argv=None) -> int:
@@ -37,7 +37,7 @@ def main(argv=None) -> int:
 
     print(f"{'study':<20} {'slope':>7} {'residual':>9} {'finest error':>13}")
     for name, cfg in configs.items():
-        rep = CERTIFIED[name].run(cfg)
+        rep = run_study(cfg)
         print(f"{name:<20} {rep.slope:>7.3f} {rep.residual:>9.4f} "
               f"{rep.rows[-1].error:>13.5e}")
         if args.out:

@@ -65,7 +65,6 @@ from .harness import (
     emit_report,
     fit_order,
     run_study,
-    run_tri_study,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,14 +18,12 @@ from .harness import (
     ConfigError,
     StudyConfig,
     TriStudyConfig,
-    _run_steps,
     config_from_mapping,
     emit_report,
     report_csv,
     run_study,
-    run_tri_study,
 )
-from .measures import deserialize, project_initial, serialize, uniform
+from .measures import deserialize, serialize, uniform
 from .schemes import CflError, SchemeSpec, run_last
 from .stochastic import (
     empirical_law,
@@ -128,11 +126,9 @@ def _study_config(args) -> StudyConfig:
 
 def _cmd_run(args) -> int:
     cfg = _study_config(args)
-    grid = cfg.grid_for(args.N)
-    mu = project_initial(cfg.initial(), grid)
+    _, mu0, steps = cfg.start(args.N)
     # keep only the current window: a whole history is O(steps) measures
-    mu = run_last(mu, SchemeSpec(cfg.scheme), cfg.field(),
-                  _run_steps(cfg.T, grid.dt, args.N))
+    mu = run_last(mu0, SchemeSpec(cfg.scheme), cfg.field(), steps)
     text = serialize(mu)
     if cfg.out:
         with open(cfg.out, "w") as fh:
@@ -142,11 +138,11 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _cmd_convergence(args) -> int:
-    cfg = _study_config(args)
+def _report_study(cfg: StudyConfig | TriStudyConfig, out: str | None) -> int:
+    """Run the study, print its CSV or write its reports next to `out`."""
     report = run_study(cfg)
-    if cfg.out:
-        csv_path, json_path = emit_report(report, cfg.out)
+    if out:
+        csv_path, json_path = emit_report(report, out)
         print(f"wrote {csv_path} and {json_path}")
     else:
         sys.stdout.write(report_csv(report))
@@ -154,13 +150,16 @@ def _cmd_convergence(args) -> int:
     return EXIT_OK
 
 
+def _cmd_convergence(args) -> int:
+    cfg = _study_config(args)
+    return _report_study(cfg, cfg.out)
+
+
 def _cmd_mc_compare(args) -> int:
     cfg = _study_config(args)
     if args.paths < 1:
         raise ConfigError(f"--paths must be positive, not {args.paths}")
-    grid = cfg.grid_for(args.N)
-    mu0 = project_initial(cfg.initial(), grid)
-    steps = _run_steps(cfg.T, grid.dt, args.N)
+    grid, mu0, steps = cfg.start(args.N)
     kernels = make_kernels(mu0, SchemeSpec(cfg.scheme), cfg.field(), steps)
     batch = sample_paths(mu0, kernels, args.paths, cfg.seed)
     stats = increment_residual(batch, cfg.field(), grid)
@@ -184,20 +183,10 @@ def _cmd_mc_compare(args) -> int:
 
 
 def _cmd_tri_run(args) -> int:
-    kwargs = {}
+    kwargs = {k: getattr(args, k) for k in ("T", "cfl") if getattr(args, k) is not None}
     if args.ladder:
         kwargs["ladder"] = _numbers(args.ladder, int, "--ladder")
-    if args.T is not None:
-        kwargs["T"] = args.T
-    if args.cfl is not None:
-        kwargs["cfl"] = args.cfl
-    cfg = TriStudyConfig(**kwargs)
-    report = run_tri_study(cfg)
-    sys.stdout.write(report_csv(report))
-    print(f"slope {report.slope:.4f} (rms residual {report.residual:.4f})")
-    if args.out:
-        emit_report(report, args.out)
-    return EXIT_OK
+    return _report_study(TriStudyConfig(**kwargs), args.out)
 
 
 def _cmd_distance(args) -> int:

@@ -14,23 +14,21 @@ triangulated study the semi-Lagrangian rows of its speed
 (`simplex.kuhn_rows`).  `CERTIFIED` is the one table of the studies that
 certify the paper's claims, each with the window its fitted order must lie in.
 
-The resolutions of a ladder are independent runs from the same datum, so
-`run_study` (grid studies) runs them in parallel: the calling process and a
-`ProcessPoolExecutor` of forked workers, one process per CPU in the process's
-affinity set and at most one per resolution.  It runs them serially, with no
-pool, where workers cannot be forked safely (no `fork` start method, or
-another thread running in the calling process).  Workers are forked, not
-spawned, because a spawned worker would import numpy and mtlab afresh, which
-costs about as much as a default study.  Every resolution but the finest is
-submitted to the pool, largest first (steps grow with N), and the pool's queue
-hands the next one to whichever worker is free; the calling process runs the
-finest N itself, so a trace of the calling process still sees one resolution
-of each study.  The rows are the numbers the serial loop gives, in ladder
-order; a failing study raises the exception of its smallest failing N, the one
-the serial loop would raise, with a worker's traceback chained as its cause.
-No worker outlives `run_study`.  `ResolutionRow.runtime_s` is the wall time of
-one resolution in the process that ran it, so the rows of a study may sum to
-more than the study's wall time.
+`run_study` is the one runner of both studies.  The resolutions of a ladder
+are independent runs from the same datum, so it may run every one but the
+finest in a `ProcessPoolExecutor` of forked workers (one process per CPU in
+the affinity set, at most one per resolution), largest first, while the
+calling process runs the finest, so a trace of the calling process still sees
+one resolution of each study.  The ladder's step count, not the caller, picks
+the lane (`_worker_count`): a study too small to repay a worker runs
+serially, as does any study where workers cannot be forked safely.  Workers
+are forked, not spawned, because a spawned worker would import numpy and
+mtlab afresh, which costs about as much as a default study.  The rows are the
+numbers the serial loop gives, in ladder order; a failing study raises the
+exception of its smallest failing N, with a worker's traceback chained as its
+cause.  No worker outlives `run_study`.  `ResolutionRow.runtime_s` is the
+wall time of one resolution in the process that ran it, so the rows of a
+study may sum to more than the study's wall time.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,6 +51,7 @@ from .flows import EXAMPLES, ExactSolution, exact_solution
 from .measures import (
     AnalyticMeasure,
     CartesianGrid,
+    DiscreteMeasure,
     QuantileFunction,
     project_initial,
 )
@@ -209,25 +208,36 @@ class StudyConfig:
         except ValueError as exc:
             raise ConfigError(f"resolution N={N}: {exc}") from exc
 
-    def resolution(self, N: int):
-        """Stepper of resolution N on a window (lo, box) of the grid."""
-        grid, spec, fld = self.grid_for(N), SchemeSpec(self.scheme), self.field()
-        check_cfl(spec, fld, grid).require()
-        steps = _run_steps(self.T, grid.dt, N)
-        _, idx, w = measure_arrays(project_initial(self.initial(), grid))
-        lo = idx.min(axis=0)
-        box = np.bincount(idx[:, 0] - lo[0], weights=w)
-        exact, dx = self.exact(), grid.dx[0]
-        # a window grows by at most one cell per side per step, so idx_all
-        # holds every node the run can reach; rows are elementwise per node
-        reach = len(box) + 2 * steps
+    def steps(self, N: int) -> int:
+        """Steps of the run at resolution N (`_run_steps` on its grid's dt)."""
+        return _run_steps(self.T, self.grid_for(N).dt, N)
+
+    def start(self, N: int) -> tuple[CartesianGrid, DiscreteMeasure, int]:
+        """(grid, datum projected on it, steps) of the run at resolution N;
+        ConfigError when the steps can reach more nodes than a window may
+        hold, since a window grows by at most one cell per side per step."""
+        grid, steps = self.grid_for(N), self.steps(N)
+        mu0 = project_initial(self.initial(), grid)
+        reach = max(mu0.weights)[0] - min(mu0.weights)[0] + 1 + 2 * steps
         if reach > _MAX_WINDOW_CELLS:
             raise ConfigError(
                 f"resolution N={N}: {steps:.6g} steps can reach {reach:.6g} nodes, "
                 f"above the window cap of {_MAX_WINDOW_CELLS}; lower T or raise "
                 "the CFL ratio")
+        return grid, mu0, steps
+
+    def resolution(self, N: int):
+        """Stepper of resolution N on a window (lo, box) of the grid."""
+        grid, mu0, steps = self.start(N)
+        spec, fld = SchemeSpec(self.scheme), self.field()
+        check_cfl(spec, fld, grid).require()
+        _, idx, w = measure_arrays(mu0)
+        lo = idx.min(axis=0)
+        box = np.bincount(idx[:, 0] - lo[0], weights=w)
+        exact, dx = self.exact(), grid.dx[0]
+        # every node the run can reach (see `start`); rows are per node
         base = int(lo[0]) - steps
-        idx_all = np.arange(base, base + reach)[:, None]
+        idx_all = np.arange(base, base + len(box) + 2 * steps)[:, None]
         rows = (transition_rows(spec, fld, 0, idx_all, grid)
                 if fld.time_regularity == "constant" else None)
 
@@ -333,60 +343,67 @@ def run_resolution(cfg: StudyConfig | TriStudyConfig, N: int) -> ResolutionRow:
                          runtime_s=runtime, envelope_c=worst_env)
 
 
-def _worker_count(ladder: tuple[int, ...]) -> int:
-    """Processes a study may run in: one per CPU the process may run on, at
-    most one per resolution; one where workers cannot be forked safely: no
-    `fork` start method, or another thread running, whose locks a forked
-    child would inherit."""
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or threading.active_count() > 1):
+# the fewest steps the resolutions below the finest must run in all for a
+# worker to pay.  Median of 7 runs on a 2-core host, serial / pooled: example1
+# W1 ladders with 120, 240, 480 and 560 coarser steps took 8.7 / 19, 17 / 23,
+# 37 / 37 and 39 / 37 ms; example2 L1 with 240 took 27 / 25 ms; the default
+# triangulated study, 87 steps, 18 / 21 ms (an empty pool costs about 4 ms).
+_POOL_MIN_STEPS = 400
+
+
+def _worker_count(cfg: StudyConfig | TriStudyConfig) -> int:
+    """Processes a study may run in: one per CPU, at most one per resolution;
+    one where workers cannot be forked safely (no `fork` start method, or
+    another thread, whose locks a forked child would inherit), or where the
+    resolutions below the finest run under `_POOL_MIN_STEPS` steps in all or
+    cannot count them (the serial loop then raises the smallest N's error)."""
+    try:
+        coarser = sum(cfg.steps(N) for N in cfg.ladder[:-1])
+    except ConfigError:
         return 1
-    return min(len(os.sched_getaffinity(0)), len(ladder))
+    if (coarser < _POOL_MIN_STEPS or threading.active_count() > 1
+            or "fork" not in multiprocessing.get_all_start_methods()):
+        return 1
+    return min(len(os.sched_getaffinity(0)), len(cfg.ladder))
 
 
-def _resolution(cfg: StudyConfig, N: int) -> ResolutionRow:
-    """`run_resolution`, looked up by name in the worker that runs it, so
-    that a replaced module attribute runs there too: a pool pickles the
-    function it is handed by name, and a replacement defined in a function
-    cannot be pickled."""
+def _resolution(cfg: StudyConfig | TriStudyConfig, N: int) -> ResolutionRow:
+    """`run_resolution`, looked up by name in the worker, so that a replaced
+    module attribute (which a pool could not pickle) runs there too."""
     return run_resolution(cfg, N)
 
 
-def _fit_report(cfg: StudyConfig | TriStudyConfig,
-                rows: tuple[ResolutionRow, ...]) -> ConvergenceReport:
-    """The report of a study's rows; a one-entry ladder has no slope (nan)."""
-    if len(rows) >= 2:
-        slope, residual = fit_order(
-            np.array([r.N for r in rows]), np.array([r.error for r in rows])
-        )
+def run_study(cfg: StudyConfig | TriStudyConfig) -> ConvergenceReport:
+    """Run every resolution of the ladder and fit the order; a one-entry
+    ladder has no slope (nan).  The rows are the serial loop's, in ladder
+    order, in whichever lane `_worker_count` picks.  A study whose coarser
+    resolutions run fewer than `_POOL_MIN_STEPS` steps runs serially: a
+    worker would cost it more than it saves (measured at the constant; the
+    default triangulated study runs 87 such steps).  In the pool, the
+    futures are read in ladder order after the finest N has run or raised,
+    so a smaller N's exception replaces the finest's."""
+    processes = _worker_count(cfg)
+    if processes == 1:
+        rows = tuple(run_resolution(cfg, N) for N in cfg.ladder)
     else:
-        slope, residual = math.nan, math.nan
+        *coarser, finest = cfg.ladder
+        with ProcessPoolExecutor(
+            processes - 1, mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            futures = [pool.submit(_resolution, cfg, N) for N in reversed(coarser)]
+            try:
+                row = run_resolution(cfg, finest)
+            finally:
+                rows = tuple(f.result() for f in reversed(futures))
+        rows += (row,)
+    slope, residual = (fit_order([r.N for r in rows], [r.error for r in rows])
+                       if len(rows) >= 2 else (math.nan, math.nan))
     return ConvergenceReport(config=cfg, rows=rows, slope=slope, residual=residual)
 
 
-def run_study(cfg: StudyConfig) -> ConvergenceReport:
-    """Run every resolution of the ladder and fit the order.
-
-    Forked workers run the resolutions below the finest, largest first, while
-    the calling process runs the finest (see the module docstring).  The rows
-    are in ladder order, and a failure raises the exception of the smallest
-    failing N, as the serial loop over the ladder would: the futures are read
-    in ladder order after the finest N has run or raised, so a smaller N's
-    exception replaces the finest's.
-    """
-    processes = _worker_count(cfg.ladder)
-    if processes == 1:
-        return _fit_report(cfg, tuple(run_resolution(cfg, N) for N in cfg.ladder))
-    *coarser, finest = cfg.ladder
-    with ProcessPoolExecutor(
-        processes - 1, mp_context=multiprocessing.get_context("fork")
-    ) as pool:
-        futures = [pool.submit(_resolution, cfg, N) for N in reversed(coarser)]
-        try:
-            row = run_resolution(cfg, finest)
-        finally:
-            rows = tuple(f.result() for f in reversed(futures))
-    return _fit_report(cfg, rows + (row,))
+# certbench's tri-sl workload calls and traces the triangulated study under
+# this name; it is the one runner, `run_study`
+run_tri_study = run_study
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +504,22 @@ class TriStudyConfig:
                 f"axis, not {self.domain!r}")
         object.__setattr__(self, "domain", (lo, hi))
 
+    def _spacing(self, N: int) -> tuple[np.ndarray, float]:
+        """(hs, dt) of resolution N: dt moves a point cfl times the minimal
+        height of the split-square triangles."""
+        hs = np.array([(b - a) / N for a, b in zip(*self.domain)])
+        return hs, self.cfl * (hs[0] * hs[1] / math.hypot(*hs)) / math.hypot(*self.speed)
+
+    def steps(self, N: int) -> int:
+        """Steps of the run at resolution N (`_run_steps` on its dt)."""
+        return _run_steps(self.T, self._spacing(N)[1], N)
+
     def resolution(self, N: int):
         """Stepper of resolution N on a window (lo, box) of the N x N grid's
         nodes, along the rows of its Kuhn (split-square) triangulation."""
         corner = np.asarray(self.domain[0])
-        hs = np.array([(b - a) / N for a, b in zip(*self.domain)])
+        (hs, dt), steps = self._spacing(N), self.steps(N)
         speed, x0 = np.asarray(self.speed), np.asarray(self.x0)
-        # minimal height of the split-square triangles
-        dt = self.cfl * (hs[0] * hs[1] / math.hypot(*hs)) / math.hypot(*speed)
-        steps = _run_steps(self.T, dt, N)
         rows = kuhn_rows((speed * dt / hs)[None, :])[:, :, None]
         # the nearest node, the lower one on a tie (round half down)
         start = np.ceil((x0 - corner) / hs - 0.5).astype(np.int64)
@@ -515,41 +539,27 @@ class TriStudyConfig:
                 _advance(lambda n, lo, box: rows, kuhn_moves(2), self.prune), distance)
 
 
-def run_tri_study(cfg: TriStudyConfig) -> ConvergenceReport:
-    """Run the triangulated ladder serially and fit the order.
-
-    Unlike `run_study` it starts no workers: the default study takes a few
-    hundredths of a second, less than forking a worker costs.
-    """
-    return _fit_report(cfg, tuple(run_resolution(cfg, N) for N in cfg.ladder))
-
-
 class Certified(NamedTuple):
-    """A certified study: its config, the window [lo, hi] its fitted order
-    must lie in, the claim it certifies, and the runner of its config."""
-
     config: StudyConfig | TriStudyConfig
     window: tuple[float, float]
     claim: str
-    run: Callable[..., ConvergenceReport]
 
 
-# name -> (config, window, claim, run); the one list of the certified studies
+# name -> (config, window [lo, hi] its fitted order under `run_study` must
+# lie in, the claim it certifies); the one list of the certified studies
 CERTIFIED = {
     "example1-w1": Certified(StudyConfig(example="example1"), (0.40, 0.60),
-                             "two-speed Dirac study: W1 order 1/2", run_study),
+                             "two-speed Dirac study: W1 order 1/2"),
     "example2-w1": Certified(StudyConfig(example="example2"), (0.85, 1.15),
-                             "uniform-datum study: W1 order 1", run_study),
+                             "uniform-datum study: W1 order 1"),
     "example2-l1": Certified(StudyConfig(example="example2", distance="l1"),
-                             (0.40, 0.60), "uniform-datum study: L1 order 1/2",
-                             run_study),
+                             (0.40, 0.60), "uniform-datum study: L1 order 1/2"),
     "example3-w1": Certified(StudyConfig(example="example3"), (0.40, 0.60),
-                             "concentrating-front study: W1 order 1/2", run_study),
+                             "concentrating-front study: W1 order 1/2"),
     "example1-rusanov": Certified(StudyConfig(example="example1", scheme="rusanov"),
                                   (0.40, 0.60),
-                                  "artificial-viscosity (Rusanov) study: W1 order 1/2",
-                                  run_study),
+                                  "artificial-viscosity (Rusanov) study: W1 order 1/2"),
     "triangulated-dirac": Certified(TriStudyConfig(), (0.40, 0.60),
                                     "semi-Lagrangian Dirac study on triangulations: "
-                                    "W1 order 1/2", run_tri_study),
+                                    "W1 order 1/2"),
 }

@@ -21,7 +21,7 @@ from mtlab.flows import (
     euler_step,
     exact_solution,
 )
-from mtlab.harness import CERTIFIED
+from mtlab.harness import CERTIFIED, run_study
 from mtlab.measures import (
     AnalyticMeasure,
     CartesianGrid,
@@ -48,9 +48,8 @@ def report(num, desc, ok, detail=""):
 def certified(name):
     """(report, wall time in s) of the certified study `name`, run on the
     first request of the session."""
-    entry = CERTIFIED[name]
     start = time.perf_counter()
-    rep = entry.run(entry.config)
+    rep = run_study(CERTIFIED[name].config)
     return rep, time.perf_counter() - start
 
 

@@ -17,6 +17,7 @@ import pytest
 from mtlab.harness import (
     CERTIFIED,
     ConfigError,
+    ResolutionRow,
     StudyConfig,
     TriStudyConfig,
     config_from_mapping,
@@ -25,7 +26,6 @@ from mtlab.harness import (
     report_csv,
     run_resolution,
     run_study,
-    run_tri_study,
     step_count,
 )
 from mtlab import harness
@@ -283,9 +283,91 @@ def test_error_decreases_with_resolution():
     assert report.slope == pytest.approx(0.5, abs=0.15)
 
 
-def _cpus(monkeypatch, count=2):
-    # `count` processes on any machine, so that the pool workers are exercised
+def _affinity(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _cpus(monkeypatch, count=2):
+    # `count` processes on any machine, and a pool for any study, so that the
+    # pool workers are exercised on small ladders
+    _affinity(monkeypatch, count)
+    monkeypatch.setattr(harness, "_POOL_MIN_STEPS", 0)
+
+
+def _no_pool(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+
+
+def test_small_study_runs_in_process(monkeypatch):
+    # the default triangulated study's coarser resolutions run 87 steps, too
+    # few to repay a worker, so it starts no process even with two CPUs
+    cfg = TriStudyConfig()
+    assert sum(cfg.steps(N) for N in cfg.ladder[:-1]) == 12 + 25 + 50
+    serial = [run_resolution(cfg, N) for N in cfg.ladder]
+    _affinity(monkeypatch, 2)
+    _no_pool(monkeypatch)
+    rows = run_study(cfg).rows
+    assert [(r.N, r.error, r.envelope_c) for r in rows] == [
+        (r.N, r.error, r.envelope_c) for r in serial]
+    assert not multiprocessing.active_children()
+
+
+def test_default_ladder_hands_its_coarser_resolutions_to_the_pool(monkeypatch):
+    _affinity(monkeypatch, 2)
+    submit, handed = ProcessPoolExecutor.submit, []
+
+    def recorded(pool, fn, cfg, N):
+        handed.append(N)
+        return submit(pool, fn, cfg, N)
+
+    def stub(cfg, N):  # the lane choice, not the runs, is under test here
+        return ResolutionRow(N=N, dx=1.0 / N, error=N ** -0.5, runtime_s=0.0,
+                             envelope_c=1.0)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recorded)
+    monkeypatch.setattr(harness, "run_resolution", stub)
+    report = run_study(StudyConfig())
+    assert handed == [1600, 800, 400, 200, 100]
+    assert [r.N for r in report.rows] == list(StudyConfig().ladder)
+    assert report.slope == pytest.approx(0.5)
+
+
+def test_uncountable_steps_run_serially_and_raise_the_smallest_n(monkeypatch):
+    # T = 0.03 is shorter than N=50's step (dt = 0.05), so counting the
+    # coarser steps fails and the serial loop raises N=50's error
+    _cpus(monkeypatch)
+    _no_pool(monkeypatch)
+    with pytest.raises(ConfigError, match=r"N=50: T=0\.03 is shorter than one step"):
+        run_study(StudyConfig(T=0.03, ladder=(50, 100, 200)))
+
+
+def test_step_count_failure_defers_to_the_serial_loop(monkeypatch):
+    # the loop, not the step count, names the error: N=50 fails to run
+    # before N=100 fails to count its steps
+    _cpus(monkeypatch)
+    _no_pool(monkeypatch)
+    builtin = StudyConfig.steps
+
+    def steps(cfg, N):
+        if N == 100:
+            raise ConfigError("counting N=100")
+        return builtin(cfg, N)
+
+    def run(cfg, N):
+        raise ConfigError(f"running N={N}")
+
+    monkeypatch.setattr(StudyConfig, "steps", steps)
+    monkeypatch.setattr(harness, "run_resolution", run)
+    with pytest.raises(ConfigError, match="running N=50"):
+        run_study(StudyConfig(ladder=(50, 100, 200)))
+
+
+def test_tri_runner_is_the_one_runner():
+    # certbench's tri-sl workload still calls and traces this name
+    assert harness.run_tri_study is harness.run_study
 
 
 def test_pool_is_handed_the_coarser_resolutions_largest_first(monkeypatch):
@@ -354,12 +436,9 @@ def test_one_lane_runs_in_process(monkeypatch, why):
     cfg = StudyConfig(example="example1", ladder=(50, 100, 200))
     serial = [run_resolution(cfg, N) for N in cfg.ladder]
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a worker was started")
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    _no_pool(monkeypatch)
     if why == "one CPU":
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        _cpus(monkeypatch, 1)
         rows = run_study(cfg).rows
     else:
         # a forked child would inherit the locks this thread may hold
@@ -488,7 +567,7 @@ def test_tri_study_runs_at_cfl_one(speed):
     # at cfl = 1 the time step attains the CFL bound up to rounding; under
     # (1, -1) the displaced point lies on a diagonal edge of its node's star
     cfg = TriStudyConfig(speed=speed, cfl=1.0, ladder=(32, 47, 64, 94, 97))
-    rep = run_tri_study(cfg)
+    rep = run_study(cfg)
     assert [r.N for r in rep.rows] == list(cfg.ladder)
     assert all(math.isfinite(r.error) and r.error > 0.0 for r in rep.rows)
     ref = reference_tri_error(cfg, 47)
@@ -734,7 +813,7 @@ def test_one_resolution_fits_no_slope(capsys, argv):
     assert cli.main(argv) == 0
     assert "slope nan (rms residual nan)" in capsys.readouterr().out
     report = (run_study(StudyConfig(ladder=(100,))) if argv[0] == "convergence"
-              else run_tri_study(TriStudyConfig(ladder=(16,), T=0.5)))
+              else run_study(TriStudyConfig(ladder=(16,), T=0.5)))
     assert len(report.rows) == 1
     assert math.isnan(report.slope) and math.isnan(report.residual)
 
@@ -767,6 +846,8 @@ def test_one_resolution_fits_no_slope(capsys, argv):
     ["mc-compare", "--T", "1e308"],
     ["tri-run", "--T", "1e308"],
     ["convergence", "--cfl", "1e-300", "--ladder", "100,200"],  # above the window cap
+    ["run", "--T", "1e12", "--N", "100"],  # 4e13 steps: above the window cap
+    ["mc-compare", "--T", "1e12"],
 ])
 def test_cli_bad_study_config_exits_2(capsys, argv):
     assert cli.main(argv) == 2
@@ -775,12 +856,13 @@ def test_cli_bad_study_config_exits_2(capsys, argv):
     assert "config error" in captured.err and "Traceback" not in captured.err
 
 
-def test_certified_entries_pair_each_config_with_its_runner():
-    for name, entry in CERTIFIED.items():
-        lo, hi = entry.window
+def test_certified_entries_are_config_window_claim():
+    # the entries carry no runner: `run_study` runs every config
+    assert harness.Certified._fields == ("config", "window", "claim")
+    for name, (config, (lo, hi), claim) in CERTIFIED.items():
+        assert isinstance(config, (StudyConfig, TriStudyConfig)), name
         assert 0.0 < lo < hi, name
-        assert entry.run is (run_study if isinstance(entry.config, StudyConfig)
-                             else run_tri_study), name
+        assert isinstance(claim, str) and claim, name
 
 
 def _study_script():
@@ -801,11 +883,11 @@ def test_study_script_bad_ladder_exits_2(capsys, ladder):
 
 
 def test_study_script_unwritable_out_exits_4(capsys, monkeypatch, tmp_path):
-    small = run_tri_study(TriStudyConfig(ladder=(16,), T=0.5))
-    for name, entry in CERTIFIED.items():
-        monkeypatch.setitem(CERTIFIED, name, entry._replace(run=lambda cfg: small))
+    small = run_study(TriStudyConfig(ladder=(16,), T=0.5))
+    script = _study_script()
+    monkeypatch.setattr(script, "run_study", lambda cfg: small)
     out = tmp_path / "missing" / "study"
-    assert _study_script().main(["--out", str(out)]) == 4
+    assert script.main(["--out", str(out)]) == 4
     captured = capsys.readouterr()
     assert captured.out.splitlines()[1].startswith(next(iter(CERTIFIED)))
     assert captured.err.startswith("I/O error:") and str(out.parent) in captured.err
@@ -813,28 +895,26 @@ def test_study_script_unwritable_out_exits_4(capsys, monkeypatch, tmp_path):
 
 
 def test_study_script_ladder_replaces_the_grid_ladders_only(capsys, monkeypatch):
-    ladders = {}
+    ladders = []
 
-    def recorder(name):
-        def run(cfg):
-            ladders[name] = cfg.ladder
-            return SimpleNamespace(slope=0.5, residual=0.0,
-                                   rows=[SimpleNamespace(error=1.0)])
-        return run
+    def run(cfg):
+        ladders.append(cfg.ladder)
+        return SimpleNamespace(slope=0.5, residual=0.0,
+                               rows=[SimpleNamespace(error=1.0)])
 
-    for name, entry in CERTIFIED.items():
-        monkeypatch.setitem(CERTIFIED, name, entry._replace(run=recorder(name)))
-    assert _study_script().main(["--ladder", "50,100"]) == 0
+    script = _study_script()
+    monkeypatch.setattr(script, "run_study", run)
+    assert script.main(["--ladder", "50,100"]) == 0
     header, *rows = capsys.readouterr().out.splitlines()
     assert [row.split()[0] for row in rows] == list(CERTIFIED)
-    assert ladders == {name: (50, 100) if isinstance(entry.config, StudyConfig)
-                       else entry.config.ladder for name, entry in CERTIFIED.items()}
+    assert ladders == [(50, 100) if isinstance(entry.config, StudyConfig)
+                       else entry.config.ladder for entry in CERTIFIED.values()]
 
 
 def test_tri_report_echoes_its_config(tmp_path, capsys):
     cfg = TriStudyConfig(ladder=(16, 32), T=0.5)
     expected = json.loads(json.dumps(asdict(cfg)))
-    _, api_json = emit_report(run_tri_study(cfg), str(tmp_path / "api"))
+    _, api_json = emit_report(run_study(cfg), str(tmp_path / "api"))
     assert cli.main(["tri-run", "--ladder", "16,32", "--T", "0.5",
                      "--out", str(tmp_path / "cli")]) == 0
     for path in (api_json, str(tmp_path / "cli.json")):

@@ -11,7 +11,10 @@ No linter ships with the project, so these are its checks:
 - `schemes.py` calls `apply_window` once, in its one window step
   `_advance`, and `harness.py` never calls it, so every study and every
   scheme run steps in that one place and a second study loop cannot come
-  back.
+  back;
+- nothing in `src/`, `scripts/` or `tests/` calls `run_tri_study`, the alias
+  of `run_study` that certbench's tri-sl workload calls, so that
+  `run_study` stays the one study runner.
 """
 
 import ast
@@ -133,3 +136,8 @@ def test_call_check_counts_bare_and_attribute_calls():
               "step = apply_window\n")
     assert calls_of({"apply_window"}, source) == ["line 3: apply_window",
                                                   "line 4: apply_window"]
+
+
+def test_nothing_calls_the_tri_runner_alias():
+    assert [f"{path.name} {call}" for path in [*SRC.glob("*.py"), *SCRIPTS_AND_TESTS]
+            for call in calls_of({"run_tri_study"}, path.read_text())] == []
