@@ -60,6 +60,7 @@ from .schemes import (
     CflReport,
     SchemeSpec,
     _advance,
+    _scatter,
     check_cfl,
     measure_arrays,
     transition_rows,
@@ -73,6 +74,11 @@ DEFAULT_LADDER = (100, 200, 400, 800, 1600, 3200)
 DEFAULT_DOMAIN = (-2.5, 2.5)
 
 _WP_RE = re.compile(r"wp\(([^)]+)\)")
+# the most steps one resolution may take, about 4x the 2,560 of the finest
+# certified one: on a 2-core host `mtlab run` took 1.6 s for 10^4 steps, and
+# `mtlab mc-compare` 8.5 s (263 MB peak) for 2,560 steps and 58 s (927 MB)
+# for 10^4 at 1,000 paths; 2*10^6 and 10^6 steps ran past 5 s unanswered.
+_MAX_STEPS = 10_000
 
 
 class ConfigError(ValueError):
@@ -215,7 +221,8 @@ class StudyConfig:
     def start(self, N: int) -> tuple[CartesianGrid, DiscreteMeasure, int]:
         """(grid, datum projected on it, steps) of the run at resolution N;
         ConfigError when the steps can reach more nodes than a window may
-        hold, since a window grows by at most one cell per side per step."""
+        hold, since a window grows by at most one cell per side per step, or
+        when they are more than _MAX_STEPS."""
         grid, steps = self.grid_for(N), self.steps(N)
         mu0 = project_initial(self.initial(), grid)
         reach = max(mu0.weights)[0] - min(mu0.weights)[0] + 1 + 2 * steps
@@ -224,6 +231,9 @@ class StudyConfig:
                 f"resolution N={N}: {steps:.6g} steps can reach {reach:.6g} nodes, "
                 f"above the window cap of {_MAX_WINDOW_CELLS}; lower T or raise "
                 "the CFL ratio")
+        if steps > _MAX_STEPS:
+            raise ConfigError(f"resolution N={N}: {steps:.6g} steps, above the bound "
+                              f"of {_MAX_STEPS} for one run; lower T or N")
         return grid, mu0, steps
 
     def resolution(self, N: int):
@@ -231,9 +241,7 @@ class StudyConfig:
         grid, mu0, steps = self.start(N)
         spec, fld = SchemeSpec(self.scheme), self.field()
         check_cfl(spec, fld, grid).require()
-        _, idx, w = measure_arrays(mu0)
-        lo = idx.min(axis=0)
-        box = np.bincount(idx[:, 0] - lo[0], weights=w)
+        lo, box, _ = _scatter(*measure_arrays(mu0)[1:])
         exact, dx = self.exact(), grid.dx[0]
         # every node the run can reach (see `start`); rows are per node
         base = int(lo[0]) - steps

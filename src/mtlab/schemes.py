@@ -13,12 +13,12 @@ coefficients into per-node move probabilities in the fixed neighbor order
 stay, +e_1, -e_1, ..., +e_d, -e_d, and `apply_window` applies the step to a
 dense bounding-box window by shifted slices, checking mass and positivity
 there; it takes any move list in {-1, 0, 1}^d, as `simplex.kuhn_rows` needs.
-One window step, `_advance`, moves every window run: the study harness's, and
-`run`'s, which keeps its window (lo, box) from step to step and takes each
-step's rows from `transition_rows` on the window's nonzero cells.  The sparse
-dict of `DiscreteMeasure` is only the API boundary: `run` builds one measure
-per history entry, `run_last` one at the end, and `step` is a one-step run;
-the Markov-chain kernels store the rows themselves.
+One window step, `_advance`, moves every window run: the study harness's,
+`run`'s and the Markov chain's, the last two keeping one window (lo, box)
+from step to step with each step's rows on its nonzero cells (`window_rows`);
+a Markov-chain kernel is the rows window of one step.  The sparse dict of
+`DiscreteMeasure` is only the API boundary: `run` builds one measure per
+history entry, `run_last` one at the end, and `step` is a one-step run.
 """
 
 from __future__ import annotations
@@ -168,21 +168,29 @@ def _check_window(shape: tuple[int, ...]) -> None:
         )
 
 
-def to_window(
-    idx: np.ndarray, w: np.ndarray, probs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scatter weights w and rows probs (2d+1, m) of the nodes idx (m, d)
-    into the dense window of their bounding box: (lo, weights, rows), cell j
-    standing for node lo + j.  WindowError before allocating a window whose
-    step would exceed the cell cap."""
+def _scatter(idx: np.ndarray, values: np.ndarray) -> tuple:
+    """(lo, window, cells): values (..., m) of the nodes idx (m, d) in the
+    dense window (..., *shape) of their bounding box, zero elsewhere, cell j
+    standing for node lo + j, and the nodes' cells.  ValueError for no node;
+    WindowError before allocating a window whose step exceeds the cap."""
+    if not len(idx):
+        raise ValueError("a window needs a nonempty support, not an empty one")
     lo, shape = bounding_box(idx)
     _check_window(tuple(s + 2 for s in shape))
     cells = tuple((idx - lo).T)
-    weights = np.zeros(shape)
-    weights[cells] = w
-    rows = np.zeros((len(probs),) + shape)
-    rows[(slice(None),) + cells] = probs
-    return lo, weights, rows
+    window = np.zeros(values.shape[:-1] + shape)
+    window[(...,) + cells] = values
+    return lo, window, cells
+
+
+def window_rows(spec: SchemeSpec, field: VelocityField, n: int, lo: np.ndarray,
+                cells: tuple, shape: tuple, grid: CartesianGrid) -> np.ndarray:
+    """Step n's rows (2d+1, *shape) on a window of corner lo: `transition_rows`
+    at the cells (index arrays, as `box.nonzero()` gives), zero elsewhere."""
+    rows = np.zeros((2 * grid.dims + 1,) + shape)
+    rows[(slice(None),) + cells] = transition_rows(
+        spec, field, n, np.column_stack(cells) + lo, grid)
+    return rows
 
 
 @functools.cache
@@ -286,35 +294,25 @@ def _walk(mu: DiscreteMeasure, spec: SchemeSpec, field: VelocityField,
     mu, after every step if history, else after the last one only.
 
     The run keeps one window (lo, box) from step to step (`_advance`), each
-    step's rows computed on the window's nonzero cells.  Next to box it
-    carries an object window of key tuples (None where a cell has none yet),
-    so a node keeps its key object while it stays in the window and a
-    history shares the tuples of the nodes that stay in the support.  The
-    reuse is kept for memory: building fresh key tuples gave hash-identical
-    outputs but raised certbench's `sparse-chain-nd` peak RSS from
-    81.1-81.4 MB to 92.5-95.0 MB (14-17%, 3 pairs of 8-second runs on 2
+    step's rows computed on the window's nonzero cells (`window_rows`).
+    Next to box it carries an object window of key tuples (None where a cell
+    has none yet), so a node keeps its key object while it stays in the
+    window and a history shares the tuples of the nodes that stay in the
+    support.  The reuse is kept for memory: building fresh key tuples gave
+    hash-identical outputs but raised certbench's `sparse-chain-nd` peak RSS
+    from 81.1-81.4 MB to 92.5-95.0 MB (14-17%, 3 pairs of 8-second runs on 2
     cores)."""
     grid = mu.grid
-    if not mu.weights:
-        raise ValueError("the scheme needs a measure with nonempty support, "
-                         "not an empty one")
     check_cfl(spec, field, grid).require()
     if not steps:
         return []
     keys, idx, w = measure_arrays(mu)
-    lo, shape = bounding_box(idx)
-    _check_window(tuple(s + 2 for s in shape))  # before allocating, as to_window
-    cells = tuple((idx - lo).T)
-    box = np.zeros(shape)
-    box[cells] = w
-    names = np.empty(shape, dtype=object)
+    lo, box, cells = _scatter(idx, w)
+    names = np.empty(box.shape, dtype=object)
     names[cells] = np.fromiter(keys, dtype=object, count=len(keys))
 
-    def rows_at(n, lo, box):
-        rows = np.zeros((2 * grid.dims + 1,) + box.shape)
-        rows[(slice(None),) + cells] = transition_rows(
-            spec, field, n, np.column_stack(cells) + lo, grid)
-        return rows
+    def rows_at(n, lo, box):  # cells: the window's nonzero cells
+        return window_rows(spec, field, n, lo, cells, box.shape, grid)
 
     advance = _advance(rows_at, None, 0.0)
     out = []

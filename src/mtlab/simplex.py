@@ -10,7 +10,7 @@ redistribution and inherits the Markov-chain reading of the grid schemes.
 On the Kuhn-Freudenthal triangulation of a grid (Freudenthal, Ann. Math.
 1942; `structured_mesh` in d = 2) the split needs no mesh: `kuhn_rows` gives
 each node its row over the moves `kuhn_moves(d)`, which `schemes.apply_window`
-steps and a `stochastic.TransitionKernel` reads as the scheme's chain.
+steps; `stochastic.TransitionKernel.from_sources` on them is the scheme's chain.
 
 The mesh path serves other meshes and is the grid path's oracle.  A mesh
 stores each node's star as one padded row of incident triangle ids, and

@@ -1,25 +1,24 @@
 """Markov-chain reading of the grid schemes.
 
 Each scheme step is a row-stochastic transition kernel on multi-indices; the
-scheme's weights are the chain's law.  A kernel stores the rows that the
-scheme engine computes (`schemes.transition_rows`, or `simplex.kuhn_rows`
-for the semi-Lagrangian chain) with their moves, and the law is pushed along
-them by the scheme's own apply routine (`schemes.apply_window`), so chain
-and scheme share one implementation of the step.
+scheme's weights are the chain's law.  A kernel is the rows window that one
+step of the scheme's window loop (`schemes._advance`) applies, zero where no
+source sits.  `make_kernels` records the kernels along that loop and
+`propagate_law` runs the loop again on their rows, so chain and scheme share
+one step.  `TransitionKernel.from_sources` builds a kernel from rows given
+per source, as `simplex.kuhn_rows` gives the semi-Lagrangian chain's.
 
 Trajectories are sampled with a counter-based generator (Philox keyed by seed
 and step), so batches are reproducible and embarrassingly parallel.  Every
 per-path operation is one O(count) array pass over integer keys: a state's
 key is its C-order cell in a bounding box.
-  * A kernel holds a row table over the box of its sources (cell -> row, -1
-    where no source sits), so a path finds its row by one gather.  The table
-    is capped at `schemes._MAX_WINDOW_CELLS` cells, the cap of the window
-    that `push` fills (2d+1)-fold anyway; a wider box is a WindowError.
+  * A path finds its row as its cell in the kernel's window: an offset, a
+    ravel and the window's source mask.
   * Paths are grouped by state through their keys in the box of the states,
     cast to the narrowest unsigned type that holds them, so numpy's stable
     sort is a radix sort for boxes of up to 2^16 cells.
   * A path's move is the number of cumulative row entries below its uniform
-    draw, summed slot by slot over the (slots, m) cumulative rows.
+    draw, summed slot by slot over the (slots, cells) cumulative rows.
   * Paths are stored axis-major: the (count, steps+1, d) array of a batch is
     the transpose of a C-order (d, steps+1, count) block, so every per-step,
     per-axis view `paths[:, n, i]` is one contiguous run of count entries and
@@ -37,30 +36,22 @@ import numpy as np
 from .measures import CartesianGrid, DiscreteMeasure, MultiIndex
 from .schemes import (
     SchemeSpec,
+    _advance,
     _check_steps,
-    _check_window,
     _is_int,
-    apply_window,
+    _scatter,
     bounding_box,
     check_cfl,
     measure_arrays,
     neighbor_moves,
     node_velocity,
-    to_window,
     transition_rows,
     window_cells,
+    window_rows,
 )
 from .velocity import VelocityField
 
 ROW_SUM_TOL = 1e-14
-
-
-def _box_keys(idx: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
-    """(lo, shape, keys): the bounding box of the rows of idx (m, d) and each
-    row's C-order position in it, so keys sort like the rows do
-    lexicographically."""
-    lo, shape = bounding_box(idx)
-    return lo, shape, np.ravel_multi_index(tuple((idx - lo).T), shape)
 
 
 def _group(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -68,7 +59,8 @@ def _group(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sizes, and the stable order of the rows by group, from one stable sort
     of the rows' keys.  The keys are cast to the narrowest unsigned type of
     the box, on which numpy's stable sort is a radix sort up to 16 bits."""
-    lo, shape, keys = _box_keys(states)
+    lo, shape = bounding_box(states)
+    keys = np.ravel_multi_index(tuple((states - lo).T), shape)
     keys = keys.astype(np.min_scalar_type(math.prod(shape) - 1))
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -91,63 +83,55 @@ def check_rows(sources: np.ndarray, probs: np.ndarray) -> None:
 
 @dataclass(frozen=True, eq=False)
 class TransitionKernel:
-    """One-step kernel of a grid scheme on the source nodes idx (m, d),
-    distinct and in lexicographic order: probs[s, k] is the probability that
-    source k makes move s of `moves` (S, d), by default the fixed neighbor
-    order (stay, +e_1, -e_1, ..., +e_d, -e_d; see `schemes.neighbor_moves`).
-    The order is part of the reproducibility contract for sampling.
-
-    Construction builds a row table over the bounding box of the sources:
-    the C-order cell of each source holds its row, every other cell -1.
-    `locate` reads it in one gather.  The box is held to the step's window
-    cap (`schemes._MAX_WINDOW_CELLS`); a wider one raises WindowError."""
+    """One-step kernel of a grid scheme as the window that its step applies:
+    rows[s, j] is the probability that the source at node lo + j makes move
+    s of `moves` (S, d), by default the fixed neighbor order (stay, +e_1,
+    -e_1, ..., +e_d, -e_d; see `schemes.neighbor_moves`), whose order is part
+    of the reproducibility contract for sampling.  A cell where no source
+    sits has a zero column; every source's column is checked (`check_rows`)."""
 
     n: int
     grid: CartesianGrid
-    idx: np.ndarray
-    probs: np.ndarray
+    lo: np.ndarray
+    rows: np.ndarray
     moves: np.ndarray | None = None
 
     def __post_init__(self):
         if self.moves is None:
             object.__setattr__(self, "moves", neighbor_moves(self.grid.dims))
-        lo, shape, keys = _box_keys(self.idx)
-        if np.any(np.diff(keys) <= 0):
-            raise ValueError("kernel sources must be distinct and in "
-                             "lexicographic order")
-        _check_window(shape)
-        table = np.full(math.prod(shape), -1, dtype=np.intp)
-        table[keys] = np.arange(len(keys))
-        object.__setattr__(self, "_lo", lo)
-        object.__setattr__(self, "_shape", shape)
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_sources", self.rows.any(axis=0))
+        check_rows(np.argwhere(self._sources) + self.lo, self.rows[:, self._sources])
+
+    @classmethod
+    def from_sources(cls, n, grid, idx, probs, moves=None) -> TransitionKernel:
+        """The kernel whose sources idx (m, d) have the rows probs (S, m);
+        ValueError for a bad row (`check_rows`) or a source given two rows,
+        WindowError when their window's step would exceed the cell cap."""
+        check_rows(idx, probs)
+        lo, rows, cells = _scatter(idx, probs)
+        if not np.array_equal(rows[(slice(None),) + cells], probs):
+            raise ValueError("a repeated kernel source has two different rows")
+        return cls(n, grid, lo, rows, moves)
 
     def locate(self, states: np.ndarray) -> np.ndarray:
-        """Row number of each state (k, d); KeyError names the first state
-        without a row."""
-        rel = states - self._lo
+        """C-order window cell of each state (k, d); KeyError names the first
+        state without a row."""
+        rel, shape = states - self.lo, self._sources.shape
         inside = np.ones(len(rel), dtype=bool)
         # per-axis tests: numpy reduces over the rows of a narrow array slowly
-        for axis, size in zip(rel.T, self._shape):
+        for axis, size in zip(rel.T, shape):
             inside &= (axis >= 0) & (axis < size)
-        pos = self._table[np.ravel_multi_index(tuple(rel.T), self._shape, mode="clip")]
-        found = inside & (pos >= 0)
+        pos = np.ravel_multi_index(tuple(rel.T), shape, mode="clip")
+        found = inside & self._sources.ravel()[pos]
         if not found.all():
             raise KeyError(tuple(int(v) for v in states[np.argmin(found)]))
         return pos
 
     def row(self, J: MultiIndex) -> tuple[tuple[MultiIndex, float], ...]:
-        k = int(self.locate(np.array([J]))[0])
+        pos = int(self.locate(np.array([J]))[0])
         targets = (np.asarray(J) + self.moves).tolist()
-        return tuple((tuple(t), p) for t, p in zip(targets, self.probs[:, k].tolist()))
-
-    def check_rows(self) -> None:
-        check_rows(self.idx, self.probs)
-
-    def push(self, idx: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Nodes and weights of the law w on the nodes idx after this step."""
-        probs = self.probs[:, self.locate(idx)]
-        return window_cells(*apply_window(*to_window(idx, w, probs), self.moves))
+        probs = self.rows.reshape(len(self.rows), -1)[:, pos].tolist()
+        return tuple((tuple(t), p) for t, p in zip(targets, probs))
 
 
 @dataclass(frozen=True)
@@ -172,18 +156,12 @@ def kernel_of(
     support: Iterable[MultiIndex] | np.ndarray,
     grid: CartesianGrid,
 ) -> TransitionKernel:
-    """Kernel rows over the given support (multi-indices or an (m, d) integer
-    array), in the paper-exact form."""
+    """Kernel over the given support (multi-indices or an (m, d) integer
+    array): the one `make_kernels` builds at step n on a law of this support."""
     check_cfl(spec, field, grid).require()
-    if not isinstance(support, np.ndarray):
-        support = list(support)
-    idx = np.asarray(support, dtype=np.int64).reshape(-1, grid.dims)
-    if not len(idx):
-        raise ValueError("a kernel needs a nonempty support")
-    idx = _group(idx)[0]
-    kernel = TransitionKernel(n, grid, idx, transition_rows(spec, field, n, idx, grid))
-    kernel.check_rows()
-    return kernel
+    idx = np.array([*support], dtype=np.int64).reshape(-1, grid.dims)
+    return TransitionKernel.from_sources(n, grid, idx,
+                                         transition_rows(spec, field, n, idx, grid))
 
 
 def make_kernels(
@@ -192,33 +170,45 @@ def make_kernels(
     field: VelocityField,
     steps: int,
 ) -> list[TransitionKernel]:
-    """Per-step kernels built lazily on the propagated law's support."""
+    """Per-step kernels of the scheme's run from mu0, along the run's window
+    loop (`schemes._advance`): the rows of each step, on the law's support."""
     _check_steps(steps)
-    _, idx, w = measure_arrays(mu0)
-    kernels = []
+    grid, kernels = mu0.grid, []
+    check_cfl(spec, field, grid).require()
+    if not steps:
+        return []
+
+    def rows_at(n, lo, box):
+        rows = window_rows(spec, field, n, lo, box.nonzero(), box.shape, grid)
+        kernels.append(TransitionKernel(n, grid, lo, rows))
+        return rows
+
+    state = _scatter(*measure_arrays(mu0)[1:])[:2]
+    advance = _advance(rows_at, None, 0.0)
     for n in range(steps):
-        kernel = kernel_of(spec, field, n, idx, mu0.grid)
-        kernels.append(kernel)
-        idx, w = kernel.push(idx, w)
+        state = advance(n, state)
     return kernels
 
 
 def propagate_law(mu: DiscreteMeasure, kernels: list) -> DiscreteMeasure:
-    """Law after pushing mu through the kernels in order."""
-    _, idx, w = measure_arrays(mu)
+    """Law after pushing mu through the kernels in order, each a
+    `schemes._advance` step along the kernel's rows sliced to the law's
+    window; KeyError names the law's first node (lexicographic) without a row."""
+    if not kernels:
+        return mu
+
+    def rows_on(kernel, lo, box):
+        # the trimmed box's cells all have rows, so it lies in the kernel's window
+        kernel.locate(np.argwhere(box) + lo)
+        start = (lo - kernel.lo).tolist()
+        return kernel.rows[(slice(None),) + tuple(
+            slice(a, a + size) for a, size in zip(start, box.shape))]
+
+    state = _scatter(*measure_arrays(mu)[1:])[:2]
     for kernel in kernels:
-        idx, w = kernel.push(idx, w)
+        state = _advance(rows_on, kernel.moves, 0.0)(kernel, state)
+    idx, w = window_cells(*state)
     return DiscreteMeasure(mu.grid, dict(zip(map(tuple, idx.tolist()), w.tolist())))
-
-
-def _initial_states(mu0: DiscreteMeasure, count: int, seed: int) -> np.ndarray:
-    sup = mu0.support()
-    cdf = np.cumsum(mu0.weight_array())
-    cdf[-1] = 1.0
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    u = rng.random(count)
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.array(sup, dtype=np.int64)[idx]
 
 
 def sample_paths(
@@ -235,21 +225,24 @@ def sample_paths(
     """
     if not _is_int(count) or count < 1:
         raise ValueError(f"count must be a positive int, not {count!r}")
-    _, support, _ = measure_arrays(mu0)
+    support = np.array(mu0.support(), dtype=np.int64)
     steps, dims = len(kernels), mu0.grid.dims
     dtype = np.int32 if int(np.abs(support).max()) + steps < 2 ** 31 else np.int64
     paths = np.empty((dims, steps + 1, count), dtype=dtype).T
-    paths[:, 0, :] = _initial_states(mu0, count, seed)
+    cdf = np.cumsum(mu0.weight_array())
+    cdf[-1] = 1.0
+    u = np.random.Generator(np.random.Philox(key=[seed, 0])).random(count)
+    paths[:, 0, :] = support[np.searchsorted(cdf, u, side="right")]
     for n, kernel in enumerate(kernels):
-        cdfs = np.cumsum(kernel.probs, axis=0)
-        rows = kernel.locate(paths[:, n, :])
+        cdfs = np.cumsum(kernel.rows, axis=0).reshape(len(kernel.rows), -1)
+        cells = kernel.locate(paths[:, n, :])
         rng = np.random.Generator(np.random.Philox(key=[seed, n + 1]))
         u = rng.random(count)
         # the move is the number of cumulative entries below u; the last
         # slot's is taken as 1, above every u in [0, 1), so it never counts
         choice = np.zeros(count, dtype=np.intp)
         for cdf in cdfs[:-1]:
-            choice += cdf[rows] < u
+            choice += cdf[cells] < u
         for i, move in enumerate(kernel.moves.T.astype(dtype)):
             np.add(paths[:, n, i], move[choice], out=paths[:, n + 1, i])
     return TrajectoryBatch(seed=seed, count=count, grid=mu0.grid, paths=paths)

@@ -1,6 +1,5 @@
 """The array engine of the grid schemes and the chain against loop references."""
 
-import bisect
 import dataclasses
 import hashlib
 
@@ -13,12 +12,12 @@ from mtlab.schemes import (
     _MAX_WINDOW_CELLS,
     SchemeSpec,
     WindowError,
+    _scatter,
     apply_window,
     neighbor_moves,
     run,
     run_last,
     step,
-    to_window,
     transition_rows,
 )
 from mtlab.stochastic import (
@@ -170,11 +169,17 @@ def test_runs_check_the_window_cap_before_allocating():
     assert run(mu, spec, field, 0) == [mu]
 
 
+def _window(idx, w, probs):
+    """(lo, weights, rows) of the nodes idx (m, d) in their dense window."""
+    lo, weights, _ = _scatter(idx, w)
+    return lo, weights, _scatter(idx, probs)[1]
+
+
 def test_apply_window_checks_mass_and_positivity():
     g = CartesianGrid(dx=(0.5,), dt=0.25)
     idx = np.array([[0], [3]])
     probs = transition_rows(SchemeSpec("upwind"), constant(1.0), 0, idx, g)
-    lo, weights, rows = to_window(idx, np.array([0.5, 0.5]), probs)
+    lo, weights, rows = _window(idx, np.array([0.5, 0.5]), probs)
     assert lo.tolist() == [0] and weights.tolist() == [0.5, 0.0, 0.0, 0.5]
     lo, box = apply_window(lo, weights, rows)
     assert lo.tolist() == [-1]
@@ -182,11 +187,11 @@ def test_apply_window_checks_mass_and_positivity():
     # the step conserves the 0.9 it is given; the cumulative check (mass 0.9,
     # nothing pruned) refuses it
     with pytest.raises(ValueError, match="mass defect 1.000e-01"):
-        apply_window(*to_window(idx, np.array([0.5, 0.4]), probs))
+        apply_window(*_window(idx, np.array([0.5, 0.4]), probs))
     leaky = probs.copy()
     leaky[:, 0] = [1.5, 0.0, -0.5]
     with pytest.raises(ValueError, match="negative weight"):
-        apply_window(*to_window(idx, np.array([0.5, 0.5]), leaky))
+        apply_window(*_window(idx, np.array([0.5, 0.5]), leaky))
 
 
 def test_apply_window_counts_the_pruned_mass():
@@ -194,12 +199,12 @@ def test_apply_window_counts_the_pruned_mass():
     idx = np.array([[0], [3]])
     probs = transition_rows(SchemeSpec("upwind"), constant(1.0), 0, idx, g)
     # a window that lost 0.1 to pruning earlier in the run passes ...
-    window = to_window(idx, np.array([0.5, 0.4]), probs)
+    window = _window(idx, np.array([0.5, 0.4]), probs)
     _, box = apply_window(*window, pruned=0.1)
     assert box.sum() == pytest.approx(0.9, abs=1e-15)
     # ... and a step that leaks mass still fails
     with pytest.raises(ValueError, match="mass defect"):
-        apply_window(*to_window(idx, np.array([0.5, 0.4]), probs * (1.0 + 1e-9)),
+        apply_window(*_window(idx, np.array([0.5, 0.4]), probs * (1.0 + 1e-9)),
                      pruned=0.1)
     with pytest.raises(ValueError, match="mass defect"):
         apply_window(*window, pruned=0.2)
@@ -241,6 +246,25 @@ def test_kernel_refuses_a_field_that_is_nan_at_one_node():
         kernel_of(SchemeSpec("upwind"), NAN_AT_ONE_NODE, 0, [(0,), (1,)], g)
 
 
+def test_kernels_check_their_rows_when_built():
+    g = CartesianGrid(dx=(0.5,), dt=0.25)
+    mu = DiscreteMeasure(g, {(0,): 0.5, (1,): 0.5})
+    with pytest.raises(ValueError, match=r"row \[1\]"):
+        make_kernels(mu, SchemeSpec("upwind"), NAN_AT_ONE_NODE, 2)
+    probs = np.array([[0.5, 0.5], [0.5, 0.25], [0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"row \[3\] does not sum to 1"):
+        TransitionKernel.from_sources(0, g, np.array([[1], [3]]), probs)
+    # a source with a zero row is refused, not read as no source
+    with pytest.raises(ValueError, match=r"row \[3\] does not sum to 1"):
+        TransitionKernel.from_sources(0, g, np.array([[1], [3]]), probs * [1, 0])
+    # a repeated source keeps one row only if both rows agree
+    twice = np.array([[1], [1]])
+    kernel = TransitionKernel.from_sources(0, g, twice, np.full((3, 2), 1 / 3))
+    assert kernel.locate(twice).tolist() == [0, 0]
+    with pytest.raises(ValueError, match="two different rows"):
+        TransitionKernel.from_sources(0, g, twice, np.eye(3)[:, :2])
+
+
 def test_apply_window_sums_moves_in_list_order():
     rng = np.random.default_rng(9)
     weights = rng.uniform(size=(5, 4))
@@ -260,6 +284,11 @@ def test_apply_window_sums_moves_in_list_order():
     assert np.max(np.abs(box)) <= 1e-15
 
 
+def _sources(kernel):
+    """The kernel's source nodes (m, d), in lexicographic order."""
+    return np.argwhere(kernel.rows.any(axis=0)) + kernel.lo
+
+
 def test_kernel_support_forms_agree():
     rng = np.random.default_rng(8)
     f = random_osl_field(rng, 2)
@@ -267,28 +296,29 @@ def test_kernel_support_forms_agree():
     support = [tuple(int(v) for v in rng.integers(-4, 5, size=2)) for _ in range(12)]
     a = kernel_of(SchemeSpec("upwind"), f, 0, set(support), g)
     b = kernel_of(SchemeSpec("upwind"), f, 0, np.array(support[::-1]), g)
-    assert np.array_equal(a.idx, b.idx)
-    assert np.array_equal(a.probs, b.probs)
+    assert np.array_equal(a.lo, b.lo)
+    assert a.rows.shape == b.rows.shape and a.rows.tobytes() == b.rows.tobytes()
     J = support[0]
     row = a.row(J)
     assert [t for t, _ in row] == [J, (J[0] + 1, J[1]), (J[0] - 1, J[1]),
                                    (J[0], J[1] + 1), (J[0], J[1] - 1)]
-    assert [tuple(J) for J in a.idx.tolist()] == sorted(set(support))
+    assert [tuple(J) for J in _sources(a).tolist()] == sorted(set(support))
     with pytest.raises(KeyError):
         a.row((99, 99))
 
 
-def test_locate_reads_the_row_table_across_gaps_and_faces():
+def test_locate_reads_the_window_across_gaps_and_faces():
     rng = np.random.default_rng(12)
     f = random_osl_field(rng, 2)
     g = grid_for(f, 2, safety=0.5)
     mu = DiscreteMeasure(g, {(-4, -5): 1.0})
     kernel = make_kernels(mu, SchemeSpec("rusanov"), f, 4)[-1]
-    sources = [tuple(J) for J in kernel.idx.tolist()]
+    sources = [tuple(J) for J in _sources(kernel).tolist()]
     have = set(sources)
-    lo, hi = kernel.idx.min(axis=0), kernel.idx.max(axis=0)
+    lo, shape = kernel.lo, kernel.rows.shape[1:]
+    hi = lo + shape - 1
     # negative coordinates, and gaps: the ball's box has empty corners
-    assert (hi < 0).all() and len(sources) < np.prod(hi - lo + 1)
+    assert (hi < 0).all() and len(sources) < np.prod(shape)
     # every cell of the box and of a ring beyond each face
     cells = [(x, y) for x in range(lo[0] - 1, hi[0] + 2)
              for y in range(lo[1] - 1, hi[1] + 2)]
@@ -297,8 +327,12 @@ def test_locate_reads_the_row_table_across_gaps_and_faces():
     assert len(present) == len(sources)
     order = rng.permutation(len(present))
     states = np.array(present)[order]
-    want = [bisect.bisect_left(sources, tuple(J)) for J in states.tolist()]
+    want = [(J[0] - lo[0]) * shape[1] + J[1] - lo[1] for J in states.tolist()]
     assert kernel.locate(states).tolist() == want
+    flat = kernel.rows.reshape(len(kernel.rows), -1)
+    for J, k in zip(states.tolist(), want):
+        assert [p for _, p in kernel.row(tuple(J))] == flat[:, k].tolist()
+        assert flat[:, k].sum() == pytest.approx(1.0, abs=1e-14)
     for J in missing:
         with pytest.raises(KeyError) as err:
             kernel.locate(np.array([present[0], J, present[1]]))
@@ -314,7 +348,7 @@ def test_kernel_box_above_the_window_cap_is_a_window_error():
     assert 2 ** 23 + 1 > _MAX_WINDOW_CELLS
     probs = transition_rows(SchemeSpec("upwind"), constant(1.0), 0, idx, g)
     with pytest.raises(WindowError):
-        TransitionKernel(0, g, idx, probs)
+        TransitionKernel.from_sources(0, g, idx, probs)
     with pytest.raises(WindowError):
         kernel_of(SchemeSpec("upwind"), constant(1.0), 0, idx, g)
 
@@ -324,6 +358,22 @@ def _chain(rng, kind, dims, steps, points):
     g = grid_for(f, dims, safety=0.5 if kind == "rusanov" else 1.0)
     mu = random_measure(rng, g, max_points=points, span=3)
     return f, g, mu, make_kernels(mu, SchemeSpec(kind), f, steps)
+
+
+@pytest.mark.parametrize("kind,dims", [("upwind", 1), ("rusanov", 2), ("upwind", 3)])
+def test_kernels_are_kernel_of_on_the_law_support(kind, dims):
+    # make_kernels steps the run's window; kernel_of builds each step's
+    # kernel apart, from the support of the run's measure at that step
+    rng = np.random.default_rng(50 + dims)
+    f, g, mu, kernels = _chain(rng, kind, dims, 6, 5)
+    hist = run(mu, SchemeSpec(kind), f, len(kernels))
+    for n, (kernel, law) in enumerate(zip(kernels, hist)):
+        ref = kernel_of(SchemeSpec(kind), f, n, law.support(), g)
+        assert kernel.n == ref.n == n
+        assert np.array_equal(kernel.lo, ref.lo)
+        assert np.array_equal(_sources(kernel), np.array(law.support()))
+        assert kernel.rows.shape == ref.rows.shape
+        assert kernel.rows.tobytes() == ref.rows.tobytes()
 
 
 @pytest.mark.parametrize("kind,dims", [("upwind", 1), ("rusanov", 2), ("upwind", 3)])

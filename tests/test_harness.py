@@ -693,6 +693,9 @@ def test_step_count_refusals_name_the_resolution():
         StudyConfig(cfl=1e-300).resolution(100)
     with pytest.raises(ConfigError, match=r"N=100: T=1e\+308 over dt=0\.025 is not a finite"):
         StudyConfig(T=1e308).resolution(100)
+    # 2e6 steps reach 4.0e6 nodes, under the window cap, but take too long
+    with pytest.raises(ConfigError, match=r"N=100: 2e\+06 steps, above the bound of 10000"):
+        StudyConfig(T=5e4).resolution(100)
     # the triangulated study's dt is a numpy scalar; the message shows a float
     with pytest.raises(ConfigError, match=r"\(dt=2\.529822128134703\)"):
         TriStudyConfig().resolution(1)
@@ -848,6 +851,8 @@ def test_one_resolution_fits_no_slope(capsys, argv):
     ["convergence", "--cfl", "1e-300", "--ladder", "100,200"],  # above the window cap
     ["run", "--T", "1e12", "--N", "100"],  # 4e13 steps: above the window cap
     ["mc-compare", "--T", "1e12"],
+    ["run", "--T", "5e4", "--N", "100"],  # 2e6 steps: above the step bound
+    ["mc-compare", "--T", "5e4"],  # 1e6 steps
 ])
 def test_cli_bad_study_config_exits_2(capsys, argv):
     assert cli.main(argv) == 2

@@ -9,9 +9,9 @@ No linter ships with the project, so these are its checks:
 - neither the acceptance tests nor the study script builds a study config,
   so that `harness.CERTIFIED` stays the one list of the certified studies;
 - `schemes.py` calls `apply_window` once, in its one window step
-  `_advance`, and `harness.py` never calls it, so every study and every
-  scheme run steps in that one place and a second study loop cannot come
-  back;
+  `_advance`, and neither `harness.py` nor `stochastic.py` calls it, so
+  every study, every scheme run and the Markov chain's law step in that one
+  place and a second window loop cannot come back;
 - nothing in `src/`, `scripts/` or `tests/` calls `run_tri_study`, the alias
   of `run_study` that certbench's tri-sl workload calls, so that
   `run_study` stays the one study runner.
@@ -126,6 +126,13 @@ def test_harness_steps_every_study_in_one_place():
     # the one window step is schemes._advance; harness hands it the rows
     assert calls_of({"apply_window"}, (SRC / "harness.py").read_text()) == []
     assert len(calls_of({"apply_window"}, (SRC / "schemes.py").read_text())) == 1
+
+
+def test_chain_steps_its_law_in_the_same_place():
+    # make_kernels and propagate_law move the law through schemes._advance
+    source = (SRC / "stochastic.py").read_text()
+    assert calls_of({"apply_window", "to_window"}, source) == []
+    assert len(calls_of({"_advance"}, source)) == 2
 
 
 def test_call_check_counts_bare_and_attribute_calls():

@@ -337,7 +337,8 @@ def test_cfl_refusal():
 def sl_kernel(field, n, idx, grid):
     """Forward semi-Lagrangian kernel of step n on the nodes idx (m, 2)."""
     xi = node_velocity(field, n, idx, grid) * (grid.dt / np.asarray(grid.dx))
-    return TransitionKernel(n, grid, idx, kuhn_rows(xi), kuhn_moves(grid.dims))
+    return TransitionKernel.from_sources(n, grid, idx, kuhn_rows(xi),
+                                         kuhn_moves(grid.dims))
 
 
 def grid_law(side, weights):
@@ -376,13 +377,13 @@ def test_sl_transition_kernel_needs_a_row_per_node():
     dt = 0.5 * mesh.hbar / f.a_inf
     grid = CartesianGrid(dx=(0.5, 0.5), dt=dt)
     kernel = sl_kernel(f, 0, np.array([[1, 1], [2, 1]]), grid)  # nodes 6, 7
-    idx, w = kernel.push(np.array([[2, 1]]), np.array([1.0]))
+    pushed = propagate_law(DiscreteMeasure(grid, {(2, 1): 1.0}), [kernel]).weights
     out = grid_law(5, sl_step(NodeMeasure(mesh, {7: 1.0}), f, 0, dt).weights)
-    pushed = dict(zip(map(tuple, idx.tolist()), w.tolist()))
     assert set(pushed) == set(out)
     assert all(abs(pushed[J] - out[J]) <= 1e-12 for J in out)
-    with pytest.raises(KeyError):
-        kernel.push(np.array([[3, 1]]), np.array([1.0]))
+    with pytest.raises(KeyError) as err:
+        propagate_law(DiscreteMeasure(grid, {(2, 1): 0.5, (3, 1): 0.5}), [kernel])
+    assert err.value.args[0] == (3, 1)
 
 
 def test_sl_kernel_rows_and_paths_take_its_moves():
