@@ -182,8 +182,9 @@ class StudyConfig:
         _set_real(self, "T", lambda x: x > 0.0, "final time must be positive and finite")
         _set_real(self, "cfl", lambda x: x > 0.0, "CFL ratio must be positive and finite")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
-            raise ConfigError(f"seed must be a nonnegative integer, not {self.seed!r}")
+                or not 0 <= self.seed < 2 ** 64):
+            raise ConfigError(
+                f"seed must be a nonnegative integer below 2^64, not {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
         if not (self.out is None or isinstance(self.out, str)):
             raise ConfigError(f"out must be a path, not {self.out!r}")

@@ -101,6 +101,22 @@ class DiscreteMeasure:
             if not w >= 0.0:
                 raise ValueError(f"negative weight {w} at {J}")
 
+    @classmethod
+    def _of_window(cls, grid: CartesianGrid, weights: dict) -> DiscreteMeasure:
+        """The measure of weights read off a window that a scheme step has
+        checked, taken as given: a fresh dict, keyed by the window's nonzero
+        cells, of a window with the grid's d axes.  Each rule of
+        `__post_init__` is covered before the call:
+          * the copy: the dict is built for this measure alone;
+          * zero weights dropped: the cells are the window's nonzero ones;
+          * keys of length d: the window has the grid's d axes;
+          * no negative or NaN weight: `schemes.apply_window` refused one
+            on the whole box of the step."""
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "grid", grid)
+        object.__setattr__(mu, "weights", weights)
+        return mu
+
     def mass(self) -> float:
         return math.fsum(self.weights[J] for J in self.support())
 

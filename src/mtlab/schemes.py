@@ -19,6 +19,10 @@ from step to step with each step's rows on its nonzero cells (`window_rows`);
 a Markov-chain kernel is the rows window of one step.  The sparse dict of
 `DiscreteMeasure` is only the API boundary: `run` builds one measure per
 history entry, `run_last` one at the end, and `step` is a one-step run.
+Each of these measures is checked once, by the step: `apply_window` refuses
+a negative or NaN weight and a mass defect on the whole box, and the
+measure is built from the window's nonzero cells without a second pass
+(`DiscreteMeasure._of_window`).
 """
 
 from __future__ import annotations
@@ -329,7 +333,8 @@ def _walk(mu: DiscreteMeasure, spec: SchemeSpec, field: VelocityField,
             coords = (np.column_stack(new) + lo).tolist()
             keys[fresh] = names[new] = np.fromiter(map(tuple, coords), dtype=object,
                                                    count=len(coords))
-        out.append(DiscreteMeasure(grid, dict(zip(keys.tolist(), box[cells].tolist()))))
+        out.append(DiscreteMeasure._of_window(
+            grid, dict(zip(keys.tolist(), box[cells].tolist()))))
     return out
 
 

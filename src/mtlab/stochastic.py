@@ -11,14 +11,20 @@ per source, as `simplex.kuhn_rows` gives the semi-Lagrangian chain's.
 Trajectories are sampled with a counter-based generator (Philox keyed by seed
 and step), so batches are reproducible and embarrassingly parallel.  Every
 per-path operation is one O(count) array pass over integer keys: a state's
-key is its C-order cell in a bounding box.
-  * A path finds its row as its cell in the kernel's window: an offset, a
-    ravel and the window's source mask.
+key is its C-order cell in a box, by one rule (`_cell_keys`), computed axis by
+axis in intp on the per-axis columns, with the mask of the states in the box.
+  * A path finds its row as its cell in the kernel's window: its key there,
+    the in-box mask and the window's source mask.
   * Paths are grouped by state through their keys in the box of the states,
     cast to the narrowest unsigned type that holds them, so numpy's stable
     sort is a radix sort for boxes of up to 2^16 cells.
   * A path's move is the number of cumulative row entries below its uniform
     draw, summed slot by slot over the (slots, cells) cumulative rows.
+  * The increment diagnostics sum per state with no loop over the states in
+    d >= 2: one `np.bincount` over the paths' state numbers adds each state's
+    entries in path order, the order in which numpy sums the state's
+    row-major (v, d) block; in d = 1 numpy sums that block pairwise, so each
+    state's contiguous block is summed with `.sum()`.
   * Paths are stored axis-major: the (count, steps+1, d) array of a batch is
     the transpose of a C-order (d, steps+1, count) block, so every per-step,
     per-axis view `paths[:, n, i]` is one contiguous run of count entries and
@@ -54,13 +60,32 @@ from .velocity import VelocityField
 ROW_SUM_TOL = 1e-14
 
 
+def _cell_keys(states: np.ndarray, lo: np.ndarray,
+               shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """C-order cell keys (intp) of the states (k, d) in the box of corner lo
+    and the given shape, and the mask of the states inside it; a key outside
+    the box is meaningless.  Computed axis by axis on the per-axis columns,
+    which axis-major paths hold contiguous, in intp, so a key past 2^31 of
+    int32 states does not overflow."""
+    keys, inside = None, np.ones(len(states), dtype=bool)
+    for col, low, size in zip(states.T, lo.tolist(), shape):
+        rel = np.subtract(col, low, dtype=np.intp)
+        inside &= (rel >= 0) & (rel < size)
+        if keys is None:
+            keys = rel
+        else:
+            keys *= size
+            keys += rel
+    return keys, inside
+
+
 def _group(states: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct rows of states (k, d) in lexicographic order, the group
     sizes, and the stable order of the rows by group, from one stable sort
     of the rows' keys.  The keys are cast to the narrowest unsigned type of
     the box, on which numpy's stable sort is a radix sort up to 16 bits."""
     lo, shape = bounding_box(states)
-    keys = np.ravel_multi_index(tuple((states - lo).T), shape)
+    keys = _cell_keys(states, lo, shape)[0]
     keys = keys.astype(np.min_scalar_type(math.prod(shape) - 1))
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
@@ -116,16 +141,11 @@ class TransitionKernel:
     def locate(self, states: np.ndarray) -> np.ndarray:
         """C-order window cell of each state (k, d); KeyError names the first
         state without a row."""
-        rel, shape = states - self.lo, self._sources.shape
-        inside = np.ones(len(rel), dtype=bool)
-        # per-axis tests: numpy reduces over the rows of a narrow array slowly
-        for axis, size in zip(rel.T, shape):
-            inside &= (axis >= 0) & (axis < size)
-        pos = np.ravel_multi_index(tuple(rel.T), shape, mode="clip")
-        found = inside & self._sources.ravel()[pos]
+        keys, inside = _cell_keys(states, self.lo, self._sources.shape)
+        found = inside & self._sources.ravel().take(keys, mode="clip")
         if not found.all():
             raise KeyError(tuple(int(v) for v in states[np.argmin(found)]))
-        return pos
+        return keys
 
     def row(self, J: MultiIndex) -> tuple[tuple[MultiIndex, float], ...]:
         pos = int(self.locate(np.array([J]))[0])
@@ -208,7 +228,16 @@ def propagate_law(mu: DiscreteMeasure, kernels: list) -> DiscreteMeasure:
     for kernel in kernels:
         state = _advance(rows_on, kernel.moves, 0.0)(kernel, state)
     idx, w = window_cells(*state)
-    return DiscreteMeasure(mu.grid, dict(zip(map(tuple, idx.tolist()), w.tolist())))
+    return DiscreteMeasure._of_window(
+        mu.grid, dict(zip(map(tuple, idx.tolist()), w.tolist())))
+
+
+def _uniforms(seed: int, n: int, count: int) -> np.ndarray:
+    """count uniform draws in [0, 1) from Philox keyed by the words (seed, n).
+    The key is built as uint64: numpy makes a list of a Python int at or above
+    2^63 and a small one float64, which rounds the seed."""
+    key = np.array([seed, n], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(count)
 
 
 def sample_paths(
@@ -221,23 +250,26 @@ def sample_paths(
 
     Uniform draws for step n come from Philox keyed by (seed, n+1), consumed
     in path-index order, so batches are reproducible and each step can be
-    generated independently.
+    generated independently.  ValueError for a count that is not a positive
+    int or a seed that is not an int in [0, 2^64), the range of a Philox key
+    word.
     """
     if not _is_int(count) or count < 1:
         raise ValueError(f"count must be a positive int, not {count!r}")
+    if not _is_int(seed) or not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be a nonnegative int below 2^64, not {seed!r}")
     support = np.array(mu0.support(), dtype=np.int64)
     steps, dims = len(kernels), mu0.grid.dims
     dtype = np.int32 if int(np.abs(support).max()) + steps < 2 ** 31 else np.int64
     paths = np.empty((dims, steps + 1, count), dtype=dtype).T
     cdf = np.cumsum(mu0.weight_array())
     cdf[-1] = 1.0
-    u = np.random.Generator(np.random.Philox(key=[seed, 0])).random(count)
+    u = _uniforms(seed, 0, count)
     paths[:, 0, :] = support[np.searchsorted(cdf, u, side="right")]
     for n, kernel in enumerate(kernels):
         cdfs = np.cumsum(kernel.rows, axis=0).reshape(len(kernel.rows), -1)
         cells = kernel.locate(paths[:, n, :])
-        rng = np.random.Generator(np.random.Philox(key=[seed, n + 1]))
-        u = rng.random(count)
+        u = _uniforms(seed, n + 1, count)
         # the move is the number of cumulative entries below u; the last
         # slot's is taken as 1, above every u in [0, 1), so it never counts
         choice = np.zeros(count, dtype=np.intp)
@@ -270,20 +302,15 @@ def increment_residual(
 
     Also reports the empirical max |h^n| and E|h^n|^p for p in {1, 2}, where
     h^n is the centered one-step increment.  States with fewer than
-    min_visits visits are excluded from the mean test and reported apart.
+    min_visits visits are excluded from the mean test and reported apart;
+    ValueError for a min_visits that is not a positive int.
     """
     if batch.count < 1:
         raise ValueError("empty batch")
+    if not _is_int(min_visits) or min_visits < 1:
+        raise ValueError(f"min_visits must be a positive int, not {min_visits!r}")
     out = []
     steps, dims = batch.paths.shape[1] - 1, batch.paths.shape[2]
-    running = np.empty(batch.count)
-
-    def total(x):
-        """Sum of a column x of a block as numpy sums the block's axis 0:
-        pairwise for d = 1, one row after another (the last running sum)
-        for d >= 2."""
-        return x.sum() if dims == 1 else np.cumsum(x, out=running[:len(x)])[-1]
-
     for n in range(steps):
         cur = batch.paths[:, n, :]
         states, visits, order = _group(cur)
@@ -297,28 +324,36 @@ def increment_residual(
         for h_i in h[1:]:
             sq += h_i * h_i
         habs = np.sqrt(sq)
-        # per-state mean and std from contiguous per-axis columns of h by
-        # state, path order kept within each state; `total` sums as numpy
-        # sums axis 0 of the row-major (v, d) block hs, so they are bit for
-        # bit hs.mean(axis=0) and hs.std(axis=0, ddof=1), without numpy's
-        # slow axis-0 reduce over narrow rows
-        cols = [h_i[order] for h_i in h]
+        # per-state sums of a per-path column x, as numpy sums axis 0 of the
+        # state's row-major (v, d) block hs, so the means and stderrs are bit
+        # for bit hs.mean(axis=0) and hs.std(axis=0, ddof=1): pairwise over
+        # the state's contiguous block for d = 1, in path order for d >= 2
+        if dims == 1:
+            ends = np.cumsum(visits).tolist()
+            bounds = list(zip([0, *ends[:-1]], ends))
+
+            def by_state(x):
+                x = x[order]
+                return np.array([x[a:b].sum() for a, b in bounds])
+        else:
+            def by_state(x):
+                return np.bincount(inv, weights=x, minlength=len(states))
+
+        mean, var = [], []
+        for h_i in h:  # numpy's _var: squared deviations from the mean
+            mean.append(by_state(h_i) / visits)
+            dev = h_i - mean[-1][inv]
+            var.append(by_state(np.square(dev, out=dev)) / np.maximum(visits - 1, 1))
+        mean = np.column_stack(mean)
+        stderr = np.where(visits > 1, np.sqrt(var).max(axis=0) / np.sqrt(visits), 0.0)
         per_state: dict[MultiIndex, tuple[int, np.ndarray, float]] = {}
         skipped: dict[MultiIndex, int] = {}
-        end = 0
-        for J, v in zip(map(tuple, states.tolist()), visits.tolist()):
-            end += v
+        for J, v, m, se in zip(map(tuple, states.tolist()), visits.tolist(), mean,
+                               stderr.tolist()):
             if v < min_visits:
                 skipped[J] = v
-                continue
-            blocks = [col[end - v:end] for col in cols]
-            mean = np.array([total(b) / v for b in blocks])
-            stderr = 0.0
-            if v > 1:  # numpy's _var: squared deviations from the mean
-                devs = [b - m for b, m in zip(blocks, mean)]
-                var = [total(np.square(x, out=x)) / (v - 1) for x in devs]
-                stderr = float(np.sqrt(var).max()) / math.sqrt(v)
-            per_state[J] = (v, mean, stderr)
+            else:
+                per_state[J] = (v, m, se)
         out.append(
             StepIncrementStats(
                 n=n,

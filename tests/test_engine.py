@@ -240,6 +240,41 @@ def test_step_refuses_a_field_that_is_nan_at_one_node():
         step(mu, SchemeSpec("upwind"), NAN_AT_ONE_NODE, 0)
 
 
+@pytest.mark.parametrize("kind", ["upwind", "rusanov"])
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_run_refuses_a_nan_field_in_the_step_before_any_measure(monkeypatch, kind, dims):
+    # the history measures skip `DiscreteMeasure.__post_init__`: the step
+    # itself must refuse a NaN before a measure is built from its window
+    built = []
+    monkeypatch.setattr(DiscreteMeasure, "_of_window",
+                        classmethod(lambda cls, grid, weights: built.append(weights)))
+    nan = VelocityField(eval_fn=lambda t, x: np.full(np.shape(x), np.nan),
+                        a_inf=1.0, dims=dims)
+    g = CartesianGrid(dx=(0.5,) * dims, dt=0.05)
+    mu = DiscreteMeasure(g, {(0,) * dims: 0.5, (1,) * dims: 0.5})
+    for call in (run, run_last):
+        with pytest.raises(ValueError, match=r"negative weight .*nan"):
+            call(mu, SchemeSpec(kind), nan, 3)
+    assert built == []
+
+
+@pytest.mark.parametrize("kind", ["upwind", "rusanov"])
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_run_history_measures_pass_the_measure_checks(kind, dims):
+    # what `DiscreteMeasure.__post_init__` would do to a history measure:
+    # drop zero weights, refuse keys of another length, refuse a negative or
+    # NaN weight; the step leaves it nothing to do
+    rng = np.random.default_rng(80 + dims)
+    f = random_osl_field(rng, dims)
+    g = grid_for(f, dims, safety=0.5 if kind == "rusanov" else 1.0)
+    mu = random_measure(rng, g, max_points=6, span=4)
+    for m in run(mu, SchemeSpec(kind), f, {1: 30, 2: 12, 3: 6}[dims])[1:]:
+        assert all(len(J) == dims for J in m.weights)
+        assert all(w > 0.0 for w in m.weights.values())
+        checked = DiscreteMeasure(g, dict(m.weights))
+        assert list(checked.weights.items()) == list(m.weights.items())
+
+
 def test_kernel_refuses_a_field_that_is_nan_at_one_node():
     g = CartesianGrid(dx=(0.5,), dt=0.25)
     with pytest.raises(ValueError, match=r"row \[1\]"):
@@ -340,6 +375,54 @@ def test_locate_reads_the_window_across_gaps_and_faces():
     with pytest.raises(KeyError) as err:
         kernel.locate(np.array([present[0], missing[3], missing[0]]))
     assert err.value.args[0] == missing[3]
+
+
+@pytest.mark.parametrize("dims", [1, 2, 3])
+def test_cell_keys_are_ravel_multi_index_on_both_layouts(dims):
+    from mtlab.stochastic import _cell_keys
+
+    rng = np.random.default_rng(40 + dims)
+    lo = rng.integers(-50, 50, size=dims)
+    shape = tuple(int(s) for s in rng.integers(1, 12, size=dims))
+    # states inside the box and up to three cells beyond each face
+    rows = rng.integers(lo - 3, lo + np.array(shape) + 3, size=(2000, dims))
+    for states in (rows, np.asfortranarray(rows)):  # row-major, axis-major
+        keys, inside = _cell_keys(states, lo, shape)
+        want = ((states >= lo) & (states < lo + shape)).all(axis=1)
+        assert inside.tolist() == want.tolist() and 0 < want.sum() < len(want)
+        ref = np.ravel_multi_index(tuple((states[want] - lo).T), shape)
+        assert keys.dtype == np.intp and np.array_equal(keys[want], ref)
+    # int32 states whose flat keys pass 2^31, as per-axis offsets or by the
+    # product of the shape
+    far = [(np.array([[-2 ** 31 + 1], [2 ** 31 - 1], [0]], dtype=np.int32),
+            np.array([-2 ** 31]), (2 ** 32,)),
+           (np.array([[2 ** 20, 7], [3, 2 ** 20 - 1]], dtype=np.int32),
+            np.array([0, 0]), (2 ** 21, 2 ** 20)),
+           (np.array([[-2 ** 31, 2 ** 31 - 1, 5]], dtype=np.int32),
+            np.array([-2 ** 31, 0, 0]), (2, 2 ** 31, 6))]
+    for states, lo, shape in far:
+        keys, inside = _cell_keys(states, lo, shape)
+        assert inside.all()
+        ref = np.ravel_multi_index(tuple((states.astype(np.int64) - lo).T), shape)
+        assert ref.max() >= 2 ** 31 and np.array_equal(keys, ref)
+
+
+def test_locate_names_the_first_state_outside_the_window():
+    # every cell of the 3 x 4 window has a row, so a state past one face
+    # whose flat key lands on a source must still be refused, as must int32
+    # states far outside
+    g = CartesianGrid(dx=(0.5, 0.5), dt=0.1)
+    idx = np.argwhere(np.ones((3, 4), dtype=bool)) + [-1, 2]
+    kernel = TransitionKernel.from_sources(0, g, idx, np.full((5, len(idx)), 0.2))
+    assert kernel.locate(idx[::-1]).tolist() == list(range(12))[::-1]
+    outside = [(-1, 6), (-2, 4), (2, 1), (3, 2), (-2 ** 31, 2 ** 31 - 1),
+               (2 ** 31 - 1, -2 ** 31)]
+    for J in outside:
+        for dtype in (np.int32, np.int64):
+            states = np.array([idx[0], J, idx[5], J[::-1]], dtype=dtype)
+            with pytest.raises(KeyError) as err:
+                kernel.locate(states)
+            assert err.value.args[0] == J
 
 
 def test_kernel_box_above_the_window_cap_is_a_window_error():

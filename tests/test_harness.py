@@ -853,6 +853,8 @@ def test_one_resolution_fits_no_slope(capsys, argv):
     ["mc-compare", "--T", "1e12"],
     ["run", "--T", "5e4", "--N", "100"],  # 2e6 steps: above the step bound
     ["mc-compare", "--T", "5e4"],  # 1e6 steps
+    ["mc-compare", "--seed", str(2 ** 70)],  # above a Philox key word
+    ["mc-compare", "--seed", "-1"],
 ])
 def test_cli_bad_study_config_exits_2(capsys, argv):
     assert cli.main(argv) == 2

@@ -133,6 +133,9 @@ def test_chain_steps_its_law_in_the_same_place():
     source = (SRC / "stochastic.py").read_text()
     assert calls_of({"apply_window", "to_window"}, source) == []
     assert len(calls_of({"_advance"}, source)) == 2
+    # and keys a state's cell by one rule, in locate and _group alike
+    assert calls_of({"ravel_multi_index"}, source) == []
+    assert len(calls_of({"_cell_keys"}, source)) == 2
 
 
 def test_call_check_counts_bare_and_attribute_calls():

@@ -118,6 +118,39 @@ def test_sample_paths_refuses_a_count_that_is_not_a_positive_int(count):
     assert sample_paths(mu, kernels, np.int64(3), seed=1).paths.shape == (3, 3, 1)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, np.float64(1.0), "1", None, -1, 2 ** 64,
+                                  2 ** 70])
+def test_sample_paths_refuses_a_seed_that_is_not_a_philox_key_word(seed):
+    # a float or a bool would alias the paths of an int seed, and Philox
+    # keys are unsigned 64-bit words
+    g = CartesianGrid(dx=(0.5,), dt=0.25)
+    mu = DiscreteMeasure(g, {(0,): 0.5, (3,): 0.5})
+    kernels = make_kernels(mu, SchemeSpec("upwind"), constant(1.0), 2)
+    with pytest.raises(ValueError, match="seed must be a nonnegative int below 2"):
+        sample_paths(mu, kernels, 10, seed)
+    top = sample_paths(mu, kernels, 10, 2 ** 64 - 1).paths
+    assert np.array_equal(top, sample_paths(mu, kernels, 10, np.uint64(2 ** 64 - 1)).paths)
+    # every seed of the range has its own key, not one rounded through float64
+    high = [sample_paths(mu, kernels, 50, 2 ** 63 + k).paths for k in range(3)]
+    assert not np.array_equal(high[0], high[1]) and not np.array_equal(high[1], high[2])
+    assert np.array_equal(sample_paths(mu, kernels, 10, np.int64(5)).paths,
+                          sample_paths(mu, kernels, 10, 5).paths)
+
+
+@pytest.mark.parametrize("min_visits", [float("nan"), -3, 0, 2.5, "x", True, None])
+def test_increment_residual_refuses_a_min_visits_that_is_not_a_positive_int(min_visits):
+    g = CartesianGrid(dx=(0.5,), dt=0.25)
+    mu = DiscreteMeasure(g, {(0,): 1.0})
+    kernels = make_kernels(mu, SchemeSpec("upwind"), constant(1.0), 2)
+    batch = sample_paths(mu, kernels, 50, seed=1)
+    with pytest.raises(ValueError, match="min_visits must be a positive int"):
+        increment_residual(batch, constant(1.0), g, min_visits)
+    got = increment_residual(batch, constant(1.0), g, np.int64(60))
+    assert [st.skipped for st in got] == [
+        st.skipped for st in increment_residual(batch, constant(1.0), g, 60)]
+    assert all(not st.per_state for st in got)
+
+
 def test_empirical_law_refuses_a_step_outside_the_paths():
     g = CartesianGrid(dx=(0.5,), dt=0.25)
     mu = DiscreteMeasure(g, {(0,): 1.0})
