@@ -228,7 +228,7 @@ def apply_window(lo: np.ndarray, weights: np.ndarray, rows: np.ndarray,
     for s, target in enumerate(_targets(key, dims)):
         box[target] += moved[s]
     if not np.minimum.reduce(box, axis=None) >= 0.0:  # a NaN fails it too
-        raise ValueError(f"negative weight {box.min()!r} after the step")
+        raise ValueError(f"negative weight {float(box.min())} after the step")
     mass = float(np.add.reduce(box, axis=None))
     check_mass_defect(max(abs(mass - float(np.add.reduce(weights, axis=None))),
                           abs(mass + pruned - 1.0)), weights.size)

@@ -253,8 +253,9 @@ def test_run_refuses_a_nan_field_in_the_step_before_any_measure(monkeypatch, kin
     g = CartesianGrid(dx=(0.5,) * dims, dt=0.05)
     mu = DiscreteMeasure(g, {(0,) * dims: 0.5, (1,) * dims: 0.5})
     for call in (run, run_last):
-        with pytest.raises(ValueError, match=r"negative weight .*nan"):
+        with pytest.raises(ValueError) as err:
             call(mu, SchemeSpec(kind), nan, 3)
+        assert str(err.value) == "negative weight nan after the step"
     assert built == []
 
 
@@ -387,7 +388,11 @@ def test_cell_keys_are_ravel_multi_index_on_both_layouts(dims):
     # states inside the box and up to three cells beyond each face
     rows = rng.integers(lo - 3, lo + np.array(shape) + 3, size=(2000, dims))
     for states in (rows, np.asfortranarray(rows)):  # row-major, axis-major
-        keys, inside = _cell_keys(states, lo, shape)
+        inside = np.empty(len(states), dtype=bool)
+        keys = _cell_keys(states, lo, shape, inside=inside)
+        assert np.array_equal(_cell_keys(states, lo, shape), keys)
+        out = np.empty(len(states), dtype=np.intp)
+        assert _cell_keys(states, lo, shape, out) is out and np.array_equal(out, keys)
         want = ((states >= lo) & (states < lo + shape)).all(axis=1)
         assert inside.tolist() == want.tolist() and 0 < want.sum() < len(want)
         ref = np.ravel_multi_index(tuple((states[want] - lo).T), shape)
@@ -401,7 +406,8 @@ def test_cell_keys_are_ravel_multi_index_on_both_layouts(dims):
            (np.array([[-2 ** 31, 2 ** 31 - 1, 5]], dtype=np.int32),
             np.array([-2 ** 31, 0, 0]), (2, 2 ** 31, 6))]
     for states, lo, shape in far:
-        keys, inside = _cell_keys(states, lo, shape)
+        inside = np.zeros(len(states), dtype=bool)
+        keys = _cell_keys(states, lo, shape, inside=inside)
         assert inside.all()
         ref = np.ravel_multi_index(tuple((states.astype(np.int64) - lo).T), shape)
         assert ref.max() >= 2 ** 31 and np.array_equal(keys, ref)

@@ -1,12 +1,18 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from conftest import grid_for, random_measure, random_osl_field
+from mtlab import stochastic
 from mtlab.measures import CartesianGrid, DiscreteMeasure
-from mtlab.schemes import CflError, SchemeSpec, run
+from mtlab.schemes import CflError, SchemeSpec, node_velocity, run
+from mtlab.simplex import kuhn_moves, kuhn_rows
 from mtlab.stochastic import (
+    TransitionKernel,
     check_rows,
     empirical_law,
     increment_residual,
@@ -16,7 +22,7 @@ from mtlab.stochastic import (
     sample_paths,
     total_variation,
 )
-from mtlab.velocity import constant
+from mtlab.velocity import VelocityField, constant
 
 
 def test_upwind_kernel_row():
@@ -218,3 +224,251 @@ def test_total_variation():
     nu = DiscreteMeasure(g, {(0,): 0.5, (1,): 0.5})
     assert total_variation(mu, nu) == pytest.approx(0.5)
     assert total_variation(mu, mu) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the two lanes: a batch's passes give the serial loop's bytes and errors
+
+def _lanes(monkeypatch, lanes):
+    """Force one or two lanes for every batch, whatever the host's CPUs."""
+    monkeypatch.setattr(stochastic, "_LANE_MIN_PATHS", 1)
+    monkeypatch.setattr(stochastic.os, "sched_getaffinity",
+                        lambda pid: set(range(lanes)))
+
+
+def _kuhn_kernels(mu, field, steps):
+    """Semi-Lagrangian kernels on the Kuhn moves, from `from_sources`, each on
+    the support of the law the previous ones push mu to."""
+    grid, kernels, law = mu.grid, [], mu
+    for n in range(steps):
+        idx = np.array(law.support())
+        xi = node_velocity(field, n, idx, grid) * (grid.dt / np.asarray(grid.dx))
+        kernels.append(TransitionKernel.from_sources(n, grid, idx, kuhn_rows(xi),
+                                                     kuhn_moves(grid.dims)))
+        law = propagate_law(law, kernels[-1:])
+    return kernels
+
+
+def _chain_case(case):
+    kind, dims = case
+    rng = np.random.default_rng({"upwind": 70, "rusanov": 80, "kuhn": 90}[kind] + dims)
+    f = constant([0.6, -0.3]) if kind == "kuhn" else random_osl_field(rng, dims)
+    g = grid_for(f, dims, safety=0.5 if kind == "rusanov" else 1.0)
+    mu = random_measure(rng, g, max_points=4, span=3)
+    kernels = (_kuhn_kernels(mu, f, 5) if kind == "kuhn"
+               else make_kernels(mu, SchemeSpec(kind), f, 5))
+    return mu, kernels, f, g
+
+
+def _unsplit_paths(mu, kernels, count, seed):
+    """The batch's paths by one pass per step over all paths, each step's
+    draws taken from the start of its Philox stream."""
+    cdf = np.cumsum(mu.weight_array())
+    cdf[-1] = 1.0
+    u = stochastic._uniforms(seed, 0, count)
+    states = [np.array(mu.support())[np.searchsorted(cdf, u, side="right")]]
+    for n, kernel in enumerate(kernels):
+        cells = kernel.locate(states[-1])
+        cdfs = np.cumsum(kernel.rows, axis=0).reshape(len(kernel.rows), -1)[:, cells]
+        below = cdfs[:-1] < stochastic._uniforms(seed, n + 1, count)
+        states.append(states[-1] + kernel.moves[below.sum(axis=0)])
+    return np.stack(states, axis=1)
+
+
+def _chain_outputs(mu, kernels, field, grid, count, seed=11):
+    """Every output of a batch's passes, as bytes and plain values."""
+    batch = sample_paths(mu, kernels, count, seed)
+    paths = batch.paths
+    out = [paths.dtype.str, paths.shape, paths.strides, paths.T.tobytes()]
+    for min_visits in (1, 100):
+        for st in increment_residual(batch, field, grid, min_visits):
+            out.append((st.n, list(st.skipped.items()), st.max_abs_h, st.mean_abs_h,
+                        st.mean_sq_h))
+            out += [(J, v, mean.tobytes(), se) for J, (v, mean, se) in st.per_state.items()]
+    for n in range(len(kernels) + 1):
+        out.append(list(empirical_law(batch, n).weights.items()))
+    return out
+
+
+@pytest.mark.parametrize("case", [("upwind", 1), ("upwind", 2), ("upwind", 3),
+                                  ("rusanov", 2), ("kuhn", 2)])
+def test_two_lanes_give_the_serial_bytes(monkeypatch, case):
+    mu, kernels, f, g = _chain_case(case)
+    for count in (2 ** 14 - 1, 2 ** 14, 10 ** 5 + 3):
+        got = {}
+        for lanes in (1, 2):
+            _lanes(monkeypatch, lanes)
+            threads = threading.active_count()
+            got[lanes] = _chain_outputs(mu, kernels, f, g, count)
+            assert threading.active_count() == threads
+        assert got[1] == got[2], count
+        paths = sample_paths(mu, kernels, count, 11).paths
+        assert np.array_equal(paths, _unsplit_paths(mu, kernels, count, 11))
+
+
+def test_the_lane_rule_counts_paths_and_cpus(monkeypatch):
+    least = stochastic._LANE_MIN_PATHS
+    assert least <= 10 ** 5  # certbench's batches run in two lanes on two CPUs
+    for cpus, count, threaded in [({0, 1}, least, True), ({0, 1}, least - 1, False),
+                                  ({0}, 10 ** 6, False), ({0, 1, 2}, 10 ** 5, True)]:
+        monkeypatch.setattr(stochastic.os, "sched_getaffinity", lambda pid: cpus)
+        with stochastic._second_lane(count) as lane:
+            assert isinstance(lane, ThreadPoolExecutor) == threaded
+
+
+@pytest.mark.parametrize("start", [0, 4, 6, 40_000])
+def test_uniforms_skip_ahead_to_the_tail_of_the_unsplit_stream(start):
+    # pins numpy's Philox skip-ahead: four draws per counter block
+    for seed, n in [(3, 1), (2 ** 64 - 1, 7)]:
+        whole = stochastic._uniforms(seed, n, 50_000)
+        tail = stochastic._uniforms(seed, n, 50_000 - start, start)
+        assert tail.tobytes() == whole[start:].tobytes()
+        out = np.empty(50_000 - start)
+        assert stochastic._uniforms(seed, n, len(out), start, out) is out
+        assert out.tobytes() == tail.tobytes()
+
+
+def _rare_atoms_case():
+    """A frozen chain (zero field) from a law with two rare atoms: in the
+    batch of 2^14 + 5 paths at seed 5, atom (50,) starts only in the first
+    of the four path ranges and atom (90,) only in the last."""
+    g = CartesianGrid(dx=(0.5,), dt=0.25)
+    mu = DiscreteMeasure(g, {(0,): 1.0 - 2e-4, (50,): 1e-4, (90,): 1e-4})
+    count, seed = 2 ** 14 + 5, 5
+    paths = sample_paths(mu, make_kernels(mu, SchemeSpec("upwind"), constant(0.0), 3),
+                         count, seed).paths[:, 0, 0]
+    edges = [4 * (count * c // 16) for c in range(4)] + [count]
+    at = {J: np.flatnonzero(paths == J) for J in (50, 90)}
+    assert at[50].size and at[50].max() < edges[1], at[50]
+    assert at[90].size and at[90].min() >= edges[3], at[90]
+    return g, mu, count, seed
+
+
+def _frozen_kernel(n, g, sources):
+    """Kernel n that keeps each 1-D source in place and has no other row."""
+    idx = np.array([[J] for J in sources])
+    probs = np.zeros((3, len(idx)))
+    probs[0] = 1.0
+    return TransitionKernel.from_sources(n, g, idx, probs)
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_sample_paths_raises_the_serial_error_across_ranges(monkeypatch, lanes):
+    g, mu, count, seed = _rare_atoms_case()
+    _lanes(monkeypatch, lanes)
+    every = (0, 50, 90)
+    cases = [
+        # (90,) lacks a row at step 1 and (50,) at step 2: the earliest step
+        ([every, (0, 50), (0,)], (90,)),
+        # both lack one at step 1: the lowest path, in the first range
+        ([every, (0,), (0,)], (50,)),
+        # the reverse of the first: (50,) at step 1
+        ([every, (0, 90), (0,)], (50,)),
+    ]
+    for sources, state in cases:
+        kernels = [_frozen_kernel(n, g, s) for n, s in enumerate(sources)]
+        threads = threading.active_count()
+        with pytest.raises(KeyError) as err:
+            sample_paths(mu, kernels, count, seed)
+        assert err.value.args == (state,)
+        assert threading.active_count() == threads
+
+
+def _within(seconds, fn, *args):
+    """fn(*args) in a thread joined with a timeout: its value, or its
+    exception raised here."""
+    out = {}
+
+    def call():
+        try:
+            out["value"] = fn(*args)
+        except Exception as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=call)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"{fn.__name__} still running after {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
+def _failing_field(step):
+    """A field that raises when it is called at step `step`."""
+    def ev(t, x):
+        n = round(t / 0.25)  # called at t_n, dt = 0.25
+        if n == step:
+            raise RuntimeError(f"field at step {step}")
+        return np.full(np.shape(x), 0.5)
+    return VelocityField(eval_fn=ev, a_inf=1.0)
+
+
+@pytest.mark.parametrize("lanes", [1, 2])
+def test_increment_residual_raises_in_the_order_of_its_stages(monkeypatch, lanes):
+    # stage A(n) groups step n and calls the field, stage B(n) computes its
+    # statistics; the serial order is A(0), B(0), A(1), ...
+    g = CartesianGrid(dx=(0.5,), dt=0.25)
+    mu = DiscreteMeasure(g, {(0,): 0.5, (4,): 0.5})
+    batch = sample_paths(mu, make_kernels(mu, SchemeSpec("upwind"), constant(0.5), 6),
+                         2 ** 14, 3)
+    _lanes(monkeypatch, lanes)
+    stats = stochastic._increment_stats
+
+    def lane_fails_at(step):
+        def failing(paths, n, *args):
+            if n == step:
+                raise ArithmeticError(f"lane at step {n}")
+            return stats(paths, n, *args)
+        monkeypatch.setattr(stochastic, "_increment_stats", failing)
+
+    # (field step, lane step, the error)
+    for field_at, lane_at, error in [(3, None, "field at step 3"),
+                                     (0, None, "field at step 0"),
+                                     (None, 2, "lane at step 2"),
+                                     (None, 5, "lane at step 5"),
+                                     (3, 2, "lane at step 2"),  # B(2) before A(3)
+                                     (3, 3, "field at step 3"),  # A(3) before B(3)
+                                     (4, 3, "lane at step 3")]:  # B(3) before A(4)
+        monkeypatch.setattr(stochastic, "_increment_stats", stats)
+        if lane_at is not None:
+            lane_fails_at(lane_at)
+        threads = threading.active_count()
+        field = _failing_field(-1 if field_at is None else field_at)
+        # a failing lane never leaves the calling thread waiting for it
+        with pytest.raises((RuntimeError, ArithmeticError)) as err:
+            _within(60, increment_residual, batch, field, g, 10)
+        assert str(err.value) == error
+        assert threading.active_count() == threads
+    monkeypatch.setattr(stochastic, "_increment_stats", stats)
+    threads = threading.active_count()
+    assert len(increment_residual(batch, constant(0.5), g, 10)) == 6
+    assert threading.active_count() == threads
+
+
+def test_concurrent_calls_under_a_short_switch_interval_keep_their_paths(monkeypatch):
+    # four calls at once, each with its own lane: eight threads, each lane
+    # writing its own ranges of its own batch's paths
+    _lanes(monkeypatch, 2)
+    g = CartesianGrid(dx=(0.25, 0.25), dt=0.0625)
+    mu = DiscreteMeasure(g, {(0, 0): 0.5, (2, -1): 0.5})
+    field = constant([0.6, -0.4])
+    kernels = make_kernels(mu, SchemeSpec("rusanov"), field, 5)
+    count = 20_003
+    want = {seed: _unsplit_paths(mu, kernels, count, seed) for seed in range(4)}
+    got, interval = {}, sys.getswitchinterval()
+
+    def one(seed):
+        got[seed] = sample_paths(mu, kernels, count, seed).paths
+
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=one, args=(seed,)) for seed in want]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(np.array_equal(got[seed], want[seed]) for seed in want)

@@ -15,8 +15,10 @@ import importlib.util
 import json
 import pathlib
 
+import numpy as np
+
 from mtlab.measures import CartesianGrid, DiscreteMeasure
-from mtlab.velocity import constant
+from mtlab.velocity import VelocityField, constant
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH = ROOT / "certbench"
@@ -75,3 +77,49 @@ def test_traced_run_keeps_every_per_layer_metric():
         assert metrics[name] > 0.0, name
     # uninstalled: the layers hold their own functions again
     assert not hasattr(m["stochastic"].make_kernels, "__wrapped__")
+
+
+def _traced_chain(m, tracing, lanes, monkeypatch):
+    """Metrics and LIFO breaks of a traced 2-D chain of 2^16 + 7 paths in
+    the given number of lanes."""
+    monkeypatch.setattr(m["stochastic"].os, "sched_getaffinity",
+                        lambda pid: set(range(lanes)))
+    tracer, breaks = tracing.Tracer(), []
+    close = tracer.close
+
+    def close_last_opened(i):
+        if tracer._stack[-1] != i:
+            breaks.append(i)
+        close(i)
+
+    tracer.close = close_last_opened
+    tracer.install(m)
+    try:
+        g = CartesianGrid(dx=(0.25, 0.25), dt=0.0625)
+        mu = DiscreteMeasure(g, {(0, 0): 0.5, (2, -1): 0.5})
+        field = VelocityField(lambda t, x: np.where(x < 0.0, 0.6, -0.4), a_inf=1.0,
+                              dims=2)
+        spec = m["schemes"].SchemeSpec("rusanov")
+        kernels = m["stochastic"].make_kernels(mu, spec, field, 4)
+        batch = m["stochastic"].sample_paths(mu, kernels, 2 ** 16 + 7, 5)
+        m["stochastic"].increment_residual(batch, field, g, 10)
+        metrics = tracer.metrics(0, len(tracer.start), tracer.counts)
+    finally:
+        tracer.uninstall()
+    return metrics, breaks, tracer._stack
+
+
+def test_traced_chain_in_two_lanes_counts_as_the_serial_one(monkeypatch):
+    # the lane runs no user code, so a tracer sees the calls and points of
+    # the serial run and its spans nest
+    tracing = _tracing()
+    m = {name: importlib.import_module(f"mtlab.{name}") for name in _layers()}
+    assert 2 ** 16 + 7 >= m["stochastic"]._LANE_MIN_PATHS
+    counted = ("velocity.eval_calls", "velocity.eval_points", "stochastic.path_steps")
+    runs = {}
+    for lanes in (1, 2):
+        metrics, breaks, stack = _traced_chain(m, tracing, lanes, monkeypatch)
+        assert breaks == [] and stack == [-1]
+        runs[lanes] = [metrics[name] for name in counted]
+    assert runs[2] == runs[1]
+    assert runs[1][2] == (2 ** 16 + 7) * 4
